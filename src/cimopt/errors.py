@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit."""
+"""Exception types and the input type check shared across the toolkit."""
 
 
 class DimensionError(ValueError):
@@ -41,3 +41,18 @@ class PolicyError(RuntimeError):
     def __init__(self, message, last_record=None):
         super().__init__(message)
         self.last_record = last_record
+
+
+def require_type(values, types: tuple[type, ...], what: str) -> list:
+    """The values as a list, each of exactly one of ``types``.
+
+    Document readers use this to reject malformed input instead of coercing
+    it: types are matched exactly, so a JSON ``true`` is not the integer 1,
+    and ``1.5`` or ``"3"`` is not an integer either.
+    """
+    values = list(values)
+    if not {type(v) for v in values} <= set(types):
+        bad = next(v for v in values if type(v) not in types)
+        names = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{what} must be {names}, got {bad!r}")
+    return values

@@ -13,7 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .errors import BudgetExceededError, DimensionError, InfeasibleHorizonError
+import numpy as np
+
+from .errors import BudgetExceededError, DimensionError, InfeasibleHorizonError, require_type
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -285,56 +287,41 @@ def build_qubo(
             group = index.group(j, h)
             builder.add_squared({k: 1.0 for k in group}, -1.0, weights.alpha)
 
+    start = np.array([e.start for e in index.entries])
+    end = start + np.array([inst.operation(e.job, e.op).times[e.machine] for e in index.entries])
+
     # H2: successor must not start before its predecessor completes
     if weights.beta > 0:
         for j, job in enumerate(inst.jobs):
             for h in range(len(job.operations) - 1):
-                succ_group = [
-                    (k, index.entries[k].start) for k in index.group(j, h + 1)
-                ]
-                for k_pred in index.group(j, h):
-                    pred = index.entries[k_pred]
-                    completion = pred.start + inst.operation(j, h).times[pred.machine]
-                    for k_succ, t_succ in succ_group:
-                        if t_succ < completion:
-                            builder.add_pair(k_pred, k_succ, weights.beta)
+                pred, succ = np.array(index.group(j, h)), np.array(index.group(j, h + 1))
+                p, s = np.nonzero(start[succ][None, :] < end[pred][:, None])
+                builder.add_pairs(pred[p], succ[s], weights.beta)
 
     # H3: cross-job temporal conflicts on a shared machine
     if weights.gamma > 0:
-        by_machine: dict[int, list[int]] = {}
-        for k, entry in enumerate(index.entries):
-            by_machine.setdefault(entry.machine, []).append(k)
-        for machine, members in by_machine.items():
-            for a in range(len(members)):
-                ka = members[a]
-                ea = index.entries[ka]
-                pa = inst.operation(ea.job, ea.op).times[machine]
-                for b in range(a + 1, len(members)):
-                    kb = members[b]
-                    eb = index.entries[kb]
-                    if ea.job == eb.job:
-                        continue
-                    pb = inst.operation(eb.job, eb.op).times[machine]
-                    if h3_mode == "strict":
-                        if ea.start < eb.start + pb and eb.start < ea.start + pa:
-                            builder.add_pair(ka, kb, weights.gamma)
-                    else:
-                        dt = ea.start - eb.start
-                        # ordered tuples (a,b) and (b,a) qualify together, so
-                        # a qualifying pair is charged twice
-                        if 0 <= dt <= pa or 0 <= -dt <= pb:
-                            builder.add_pair(ka, kb, 2.0 * weights.gamma)
+        job_of = np.array([e.job for e in index.entries])
+        machine_of = np.array([e.machine for e in index.entries])
+        for machine in dict.fromkeys(machine_of.tolist()):
+            members = np.flatnonzero(machine_of == machine)
+            a, b = (members[t] for t in np.triu_indices(members.size, 1))
+            if h3_mode == "strict":
+                hit = (start[a] < end[b]) & (start[b] < end[a])
+            else:
+                # ordered tuples (a,b) and (b,a) qualify together, so
+                # a qualifying pair is charged twice
+                dt = start[a] - start[b]
+                hit = ((dt >= 0) & (dt <= end[a] - start[a])) | ((dt <= 0) & (-dt <= end[b] - start[b]))
+            hit &= job_of[a] != job_of[b]
+            builder.add_pairs(a[hit], b[hit], weights.gamma if h3_mode == "strict" else 2.0 * weights.gamma)
 
     # H4: completion of each job's last operation, shifted by its earliest
     # possible predecessor time so the minimum contribution stays small
     if weights.delta > 0:
         for j, job in enumerate(inst.jobs):
             last = len(job.operations) - 1
-            earliest = min_predecessor_time(inst, j, last)
-            for k in index.group(j, last):
-                entry = index.entries[k]
-                p = inst.operation(j, last).times[entry.machine]
-                builder.add_diag(k, weights.delta * (entry.start + p - earliest))
+            group = np.array(index.group(j, last))
+            builder.add_diag(group, weights.delta * (end[group] - min_predecessor_time(inst, j, last)))
 
     return builder.build()
 
@@ -587,14 +574,11 @@ def instance_from_doc(doc: Mapping) -> FjspInstance:
         if fieldname not in doc:
             raise ValueError(f"instance document is missing field {fieldname!r}")
     try:
-        jobs = [
-            [
-                [None if t is None else int(t) for t in op["times"]]
-                for op in job["operations"]
-            ]
-            for job in doc["jobs"]
-        ]
-        return FjspInstance.build(int(doc["machines"]), int(doc["t_max"]), jobs)
+        jobs = [[op["times"] for op in job["operations"]] for job in doc["jobs"]]
+        times = [t for ops in jobs for op_times in ops for t in op_times if t is not None]
+        require_type([doc["machines"], doc["t_max"]], (int,), "machines and t_max")
+        require_type(times, (int,), "processing times")
+        return FjspInstance.build(doc["machines"], doc["t_max"], jobs)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: field {exc}") from exc
 
@@ -610,11 +594,10 @@ def schedule_from_doc(inst: FjspInstance, doc) -> Schedule:
     entries = doc["entries"] if isinstance(doc, Mapping) else doc
     out = []
     for item in entries:
-        job, op, machine = int(item["job"]), int(item["op"]), int(item["machine"])
-        start = int(item["start"])
+        fields = ("job", "op", "machine", "start") + (("end",) if "end" in item else ())
+        job, op, machine, start, *end = require_type((item[f] for f in fields), (int,), f"schedule entry {item}")
         p = inst.operation(job, op).times[machine]
         if p is None:
             raise ValueError(f"schedule places ({job}, {op}) on ineligible machine {machine}")
-        end = int(item.get("end", start + p))
-        out.append(ScheduleEntry(job, op, machine, start, end))
+        out.append(ScheduleEntry(job, op, machine, start, end[0] if end else start + p))
     return Schedule(tuple(sorted(out, key=lambda e: (e.job, e.op))))

@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
 from .errors import BudgetExceededError
-from .qubo import (
+from .qubo import (  # qubo_energy, ising_energy: kept in this namespace, bench/spans.py wraps them
     IsingConvention,
     IsingModel,
     QuboMatrix,
+    batch_energy,
     flip_convention,
     ising_energy,
     quantize_int8,
@@ -122,17 +123,12 @@ def _as_positive_ising(model: Model) -> IsingModel:
     return model
 
 
-def _rank(
-    states: Sequence[tuple[int, ...]], work: IsingModel, top_k: int
-) -> tuple[tuple[tuple[int, ...], float], ...]:
+def _rank(spins: np.ndarray, work: IsingModel, top_k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
     # dedup by vector, then sort by (energy, lexicographic vector) so merge
     # order can never influence the output
-    scored = {}
-    for vec in states:
-        if vec not in scored:
-            scored[vec] = ising_energy(work, vec)
-    ranked = sorted(scored.items(), key=lambda item: (item[1], item[0]))
-    return tuple((vec, e) for vec, e in ranked[:top_k])
+    vecs = list(dict.fromkeys(map(tuple, spins.astype(np.int64).tolist())))
+    ranked = sorted(zip(batch_energy(work, vecs).tolist(), vecs))
+    return tuple((vec, e) for e, vec in ranked[:top_k])
 
 
 def _enumerate_spin_energies(work: IsingModel) -> np.ndarray:
@@ -142,25 +138,16 @@ def _enumerate_spin_energies(work: IsingModel) -> np.ndarray:
     spin j occupies bit (n - 1 - j) of the state index.
     """
     n = work.n
-    by_low: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), v in work.J.items():
-        by_low.setdefault(i, []).append((j, v))
+    starts = np.searchsorted(work.rows, np.arange(n + 1))  # row k's couplings: starts[k]:starts[k + 1]
     energies = np.zeros(1)
     for k in range(n - 1, -1, -1):
-        size = energies.size
-        contrib = np.full(size, work.h[k])
-        pairs = by_low.get(k)
-        if pairs:
-            idx = np.arange(size, dtype=np.int64)
-            for j, v in pairs:
-                spin_j = (((idx >> (n - 1 - j)) & 1) * 2 - 1).astype(np.float64)
-                contrib += v * spin_j
+        idx = np.arange(energies.size, dtype=np.int64)
+        contrib = np.full(energies.size, work.lin[k])
+        span = slice(starts[k], starts[k + 1])
+        for j, v in zip(work.cols[span].tolist(), work.vals[span].tolist()):
+            contrib += v * (((idx >> (n - 1 - j)) & 1) * 2 - 1).astype(np.float64)
         energies = np.concatenate([energies - contrib, energies + contrib])
     return energies + work.offset
-
-
-def _index_to_spins(index: int, n: int) -> tuple[int, ...]:
-    return tuple(1 if (index >> (n - 1 - j)) & 1 else -1 for j in range(n))
 
 
 def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
@@ -177,9 +164,8 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
     kth = np.partition(energies, k - 1)[k - 1]
     below = np.flatnonzero(energies < kth)
     at = np.flatnonzero(energies == kth)[: k - below.size]
-    chosen = np.concatenate([below, at])
-    states = [_index_to_spins(int(i), work.n) for i in chosen]
-    solutions = _rank(states, work, k)
+    chosen = np.concatenate([below, at])[:, None]
+    solutions = _rank(((chosen >> (work.n - 1 - np.arange(work.n))) & 1) * 2 - 1, work, k)
     meta = {
         "method": "exact",
         "seed": 0,
@@ -193,20 +179,15 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
 
 
 def _dense_fields(work: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    h = np.asarray(work.h, dtype=np.float64)
     jmat = np.zeros((work.n, work.n))
-    for (i, j), v in work.J.items():
-        jmat[i, j] = v
-        jmat[j, i] = v
-    return h, jmat
+    jmat[work.rows, work.cols] = jmat[work.cols, work.rows] = work.vals
+    return work.lin, jmat
 
 
-def _resolve_temps(config: SolverConfig, h: np.ndarray, jmat: np.ndarray) -> tuple[float, float]:
+def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float]:
     if config.temp_initial is not None:
         return float(config.temp_initial), float(config.temp_final)
-    scale = max(float(np.max(np.abs(h))), float(np.max(np.abs(jmat))))
-    if scale == 0.0:
-        scale = 1.0
+    scale = float(np.max(np.abs(np.concatenate([work.lin, work.vals])))) or 1.0
     return 10.0 * scale, 1e-3 * scale
 
 
@@ -287,14 +268,12 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     config = config or SolverConfig()
     work = _as_positive_ising(model)
     h, jmat = _dense_fields(work)
-    t0, t1 = _resolve_temps(config, h, jmat)
+    t0, t1 = _resolve_temps(config, work)
     if config.emulate_latency_ms:
         time.sleep(config.emulate_latency_ms / 1000.0)
     pool = _anneal_pool(h, jmat, config, t0, t1)
-    states = [
-        tuple(int(v) for v in np.frombuffer(key, dtype=np.float64)) for key in pool
-    ]
-    solutions = _rank(states, work, config.top_k)
+    spins = np.frombuffer(b"".join(pool), dtype=np.float64).reshape(len(pool), work.n)
+    solutions = _rank(spins, work, config.top_k)
     meta = {
         "method": "annealed",
         "seed": config.seed,
@@ -324,19 +303,15 @@ def apply_readout_noise(result: SolveResult, p: float, seed: int) -> SolveResult
         raise ValueError(f"flip probability must be in [0, 1), got {p}")
     if p == 0.0:
         return result
-    rng = np.random.default_rng(seed & _SEED_MASK)
-    noisy = []
-    for vec, _ in result.solutions:
-        flips = rng.random(len(vec)) < p
-        noisy.append(tuple(-v if f else v for v, f in zip(vec, flips)))
-    solutions = _rank(noisy, result.model, len(noisy))
+    spins = np.array([vec for vec, _ in result.solutions])
+    flips = np.random.default_rng(seed & _SEED_MASK).random(spins.shape) < p
+    solutions = _rank(np.where(flips, -spins, spins), result.model, len(spins))
     meta = dict(result.meta)
     meta["readout_flip_prob"] = p
     meta["readout_seed"] = seed
     if result.original_model is not None:
-        meta["original_energies"] = [
-            qubo_energy(result.original_model, spins_to_bits(vec)) for vec, _ in solutions
-        ]
+        bits = (np.array([vec for vec, _ in solutions]) + 1) // 2
+        meta["original_energies"] = batch_energy(result.original_model, bits).tolist()
     return SolveResult(solutions, meta, result.model, result.original_model)
 
 
@@ -355,9 +330,8 @@ def solve_quantized(q: QuboMatrix, config: SolverConfig | None = None) -> SolveR
     meta["quantized"] = True
     meta["scale"] = quantized.scale
     meta["quant_report"] = quantized.report.to_doc()
-    meta["original_energies"] = [
-        qubo_energy(q, spins_to_bits(vec)) for vec, _ in result.solutions
-    ]
+    bits = (np.array([vec for vec, _ in result.solutions]) + 1) // 2
+    meta["original_energies"] = batch_energy(q, bits).tolist()
     return SolveResult(result.solutions, meta, result.model, original_model=q)
 
 

@@ -7,6 +7,8 @@ order, so library results are checked by an independent route.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,13 @@ def naive_ising_energy(model, s):
     if model.convention.value == "positive_sum":
         return field + coupling + model.offset
     return -coupling - field + model.offset
+
+
+def round_half_away_int8(value):
+    """The int8 quantization rule for one scaled coefficient, by plain
+    arithmetic: round half away from zero, then clamp to [-128, 127]."""
+    magnitude = math.floor(abs(value) + 0.5)
+    return max(-128, min(127, int(math.copysign(magnitude, value))))
 
 
 def enum_qubo_energies(q):

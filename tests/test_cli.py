@@ -197,6 +197,70 @@ class TestQuboTools:
         assert "scale" in doc
 
 
+class TestModelDocumentRejection:
+    """Malformed model documents exit 1 with a message instead of being coerced."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n": 2.9}, "n and pair indices"),
+            ({"n": True}, "n and pair indices"),
+            ({"upper": [[0.7, 1.2, 3]]}, "n and pair indices"),
+            ({"upper": [[False, True, 3]]}, "n and pair indices"),
+            ({"upper": [[0, 1, "3.5"]]}, "coefficients"),
+            ({"upper": [[0, 1, True]]}, "coefficients"),
+            ({"diag": [1.0, "3"]}, "coefficients"),
+            ({"upper": [[0, 1, 2.0], [0, 1, 5.0]]}, "repeats pair (0, 1)"),
+        ],
+    )
+    @pytest.mark.parametrize("action", ["to-ising", "quantize"])
+    def test_rejected_with_message(self, tmp_path, capsys, change, message, action):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "diag": [1.0, 3.0], "upper": [[0, 1, 2.0]], "offset": 0.0, **change}))
+        rc = main(["qubo", action, str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_ising_document_repeated_pair(self, tmp_path, capsys):
+        path = tmp_path / "ising.json"
+        doc = {"n": 2, "diag": [1.0, 2.0], "upper": [[0, 1, 0.5], [0, 1, 0.5]], "offset": 0.0, "convention": "positive_sum"}
+        path.write_text(json.dumps(doc))
+        rc = main(["qubo", "energy", str(path), "--bits", "01"])
+        assert rc == 1
+        assert "repeats pair (0, 1)" in capsys.readouterr().err
+
+
+class TestInstanceDocumentRejection:
+    @pytest.mark.parametrize("times", [[1.5], [True], [2.0]])
+    def test_oracle_rejects_non_integer_time(self, tmp_path, capsys, times):
+        path = tmp_path / "toy.json"
+        path.write_text(json.dumps({"machines": 1, "t_max": 10, "jobs": [{"operations": [{"times": times}]}]}))
+        rc = main(["oracle", "--instance", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "processing times must be int" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_fjsp_rejects_malformed_incumbent_schedule(self, tmp_path, capsys, monkeypatch):
+        import dataclasses
+
+        import cimopt.cli
+
+        def tuned(*args, **kwargs):
+            report = real(*args, **kwargs)
+            entry = {"job": 0, "op": 0, "machine": 0, "start": 0.9, "end": 3}
+            return dataclasses.replace(report, incumbent_payload={"schedule": [entry]})
+
+        real = cimopt.cli.run_tuning
+        monkeypatch.setattr(cimopt.cli, "run_tuning", tuned)
+        rc = main(["fjsp", "-i", "1", "--out", str(tmp_path), "--sweeps", "20", "--restarts", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "must be int, got 0.9" in err and "Traceback" not in err
+
+
 class TestOracleCommand:
     def test_bundled_instance(self, capsys):
         rc = main(["oracle"])

@@ -414,3 +414,29 @@ class TestInstanceValidation:
     def test_weights_require_positive_for_tuning(self):
         with pytest.raises(ValueError):
             FjspWeights(1.0, 0.0, 1.0, 1.0).require_positive()
+
+
+class TestDocumentRejection:
+    """Document readers reject what they used to truncate with int()."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"machines": 1.0},
+            {"machines": True},
+            {"t_max": 5.5},
+            {"jobs": [{"operations": [{"times": [1.5]}]}]},
+            {"jobs": [{"operations": [{"times": [True]}]}]},
+            {"jobs": [{"operations": [{"times": ["2"]}]}]},
+        ],
+    )
+    def test_instance_rejects_non_integers(self, change):
+        doc = {"machines": 1, "t_max": 5, "jobs": [{"operations": [{"times": [2]}]}], **change}
+        with pytest.raises(ValueError, match="must be int"):
+            instance_from_doc(doc)
+
+    @pytest.mark.parametrize("field, value", [("job", True), ("op", 0.0), ("machine", "0"), ("start", 0.9), ("end", 3.5)])
+    def test_schedule_rejects_non_integers(self, table1, field, value):
+        entry = {"job": 0, "op": 0, "machine": 0, "start": 0, "end": 3, field: value}
+        with pytest.raises(ValueError, match="must be int"):
+            schedule_from_doc(table1, [entry])

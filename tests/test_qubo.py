@@ -1,5 +1,8 @@
 """Core model types: energies, penalties, conversion, quantization."""
 
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,9 @@ from cimopt.qubo import (
     IsingModel,
     QuboBuilder,
     QuboMatrix,
+    _round_to_int8,
     add_squared_penalty,
+    batch_energy,
     bits_to_spins,
     coefficient_stats,
     flip_convention,
@@ -25,7 +30,7 @@ from cimopt.qubo import (
     spins_to_bits,
 )
 
-from conftest import naive_qubo_energy, naive_ising_energy
+from conftest import naive_qubo_energy, naive_ising_energy, round_half_away_int8
 
 TWO_VAR = QuboMatrix(2, (1.0, 3.0), {(0, 1): 2.0})
 
@@ -320,3 +325,127 @@ class TestBuilder:
         b.add_pair(0, 1, 2.0)
         b.add_pair(1, 0, -2.0)
         assert b.build().upper == {}
+
+
+class TestArrayCore:
+    def test_views_are_read_only_and_compare_equal_to_dicts(self):
+        q = QuboMatrix(3, [1.0, 2.0, 3.0], {(1, 2): 5.0, (0, 1): -1.0}, 0.5)
+        assert q.upper == {(0, 1): -1.0, (1, 2): 5.0} and q.diag == (1.0, 2.0, 3.0)
+        assert list(q.upper) == [(0, 1), (1, 2)]  # stored in (i, j) order
+        with pytest.raises(TypeError):
+            q.upper[(0, 2)] = 1.0
+        with pytest.raises(AttributeError):
+            q.offset = 1.0
+        with pytest.raises(ValueError):
+            q.vals[0] = 9.0
+        assert QuboMatrix(q.n, q.diag, q.upper, q.offset) == q
+        assert pickle.loads(pickle.dumps(q)) == q
+
+
+class TestBatchKernel:
+    @given(qubo_matrices(max_n=10), st.integers(1, 12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_scalar_functions_bit_for_bit(self, q, k, seed):
+        bits = np.random.default_rng(seed).integers(0, 2, (k, q.n))
+        energies = batch_energy(q, bits)
+        assert [qubo_energy(q, row).hex() for row in bits.tolist()] == [e.hex() for e in energies.tolist()]
+        assert batch_energy(q, bits[::-1]).tolist()[::-1] == energies.tolist()
+        for convention in IsingConvention:
+            m = qubo_to_ising(q, convention)
+            spins = 2 * bits - 1
+            expected = [ising_energy(m, row).hex() for row in spins.tolist()]
+            assert expected == [e.hex() for e in batch_energy(m, spins).tolist()]
+
+    def test_rejects_bad_shape_and_values(self):
+        m = qubo_to_ising(TWO_VAR)
+        with pytest.raises(DimensionError):
+            batch_energy(TWO_VAR, [[0, 1, 1]])
+        with pytest.raises(ValueError):
+            batch_energy(TWO_VAR, [[0, 1], [2, 0]])
+        with pytest.raises(ValueError):
+            batch_energy(m, [[1, 0]])
+
+
+class TestQuantizeReference:
+    @given(qubo_matrices(max_n=8, magnitude=1e4))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_reference(self, q):
+        try:
+            quantized = quantize_int8(q)
+        except DegenerateMatrixError:
+            return
+        scale = 127 / max(abs(c) for c in q.coefficients())
+        assert quantized.scale == scale
+        assert quantized.int_diag == tuple(round_half_away_int8(c * scale) for c in q.diag)
+        assert quantized.int_upper == {key: round_half_away_int8(v * scale) for key, v in q.upper.items()}
+
+    @given(st.lists(st.integers(-127, 126), min_size=1, max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_half_ties_round_away_from_zero(self, ints):
+        # a largest magnitude of 127 makes the scale exactly 1, so k + 0.5 is a tie
+        ties = [k + 0.5 for k in ints]
+        q = QuboMatrix(len(ties) + 1, [127.0, *ties], {(0, j): -t for j, t in enumerate(ties, start=1)})
+        quantized = quantize_int8(q)
+        assert quantized.scale == 1.0
+        assert quantized.int_diag[1:] == tuple(round_half_away_int8(t) for t in ties)
+        assert all(abs(v) == abs(t) + 0.5 for v, t in zip(quantized.int_diag[1:], ties))
+        assert [quantized.int_upper[(0, j)] for j in range(1, len(ties) + 1)] == [round_half_away_int8(-t) for t in ties]
+
+    def test_rounding_rule_clamps_like_reference(self):
+        values = [-1e9, -129.0, -128.5, -128.49, -127.5, -0.5, -0.49, 0.0, 0.49, 0.5, 2.5, 127.49, 127.5, 300.0]
+        assert _round_to_int8(np.array(values)).tolist() == [round_half_away_int8(v) for v in values]
+        assert round_half_away_int8(-128.5) == -128 and round_half_away_int8(127.5) == 127
+
+
+class TestBuilderCoalescing:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_dict_accumulation(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        builder, upper, diag = QuboBuilder(n), {}, [0.0] * n
+        for _ in range(int(rng.integers(1, 6))):
+            i = rng.integers(0, n, int(rng.integers(1, 12)))
+            j = (i + rng.integers(1, n, i.size)) % n
+            v = rng.normal(size=i.size)
+            if rng.random() < 0.5:
+                builder.add_pairs(i, j, v)
+            else:
+                for a, b, x in zip(i.tolist(), j.tolist(), v.tolist()):
+                    builder.add_pair(a, b, x)
+            for a, b, x in zip(i.tolist(), j.tolist(), v.tolist()):
+                key = (min(a, b), max(a, b))
+                upper[key] = upper.get(key, 0.0) + x
+            d, dv = rng.integers(0, n, 3), rng.normal(size=3)
+            builder.add_diag(d, dv)
+            for a, x in zip(d.tolist(), dv.tolist()):
+                diag[a] += x
+        cancelled = next(iter(upper))
+        builder.add_pair(cancelled[1], cancelled[0], -upper[cancelled])
+        upper[cancelled] = 0.0
+        q = builder.build()
+        assert q.upper == {key: v for key, v in upper.items() if v != 0.0}
+        assert cancelled not in q.upper
+        assert q.diag == tuple(diag)
+
+
+class TestLargeModel:
+    def test_build_quantize_convert_energies_agree_with_naive(self):
+        rng = np.random.default_rng(3000)
+        n, draws = 3000, 200_000
+        builder = QuboBuilder(n)
+        builder.add_diag(np.arange(n), rng.uniform(-50.0, 50.0, n))
+        i = rng.integers(0, n, draws)
+        builder.add_pairs(i, (i + rng.integers(1, n, draws)) % n, rng.uniform(-10.0, 10.0, draws))
+        q = builder.build()
+        assert 190_000 < len(q.vals) < draws  # repeated pairs coalesced
+        integer = quantize_int8(q).to_matrix()
+        isings = [qubo_to_ising(integer, convention) for convention in IsingConvention]
+        for x in rng.integers(0, 2, (2, n)).tolist():
+            terms = sum(abs(c) for c in q.coefficients())
+            assert abs(qubo_energy(q, x) - naive_qubo_energy(q, x)) <= 1e-12 * terms
+            # integer and quarter-integer coefficients sum exactly in any order
+            assert qubo_energy(integer, x) == naive_qubo_energy(integer, x)
+            for m in isings:
+                assert ising_energy(m, bits_to_spins(x)) == naive_ising_energy(m, bits_to_spins(x))
+                assert ising_energy(m, bits_to_spins(x)) == qubo_energy(integer, x)
