@@ -259,7 +259,7 @@ class QuboBuilder:
             raise ValueError(f"need at least one variable, got n={n}")
         self.n = n
         self._diag = np.zeros(n)
-        self._pairs = [_Pairs(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
+        self._pairs = [_Pairs(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]  # build() needs one batch
         self._offset = 0.0
 
     def add_offset(self, value: float) -> None:
@@ -430,7 +430,7 @@ def coefficient_stats(q: QuboMatrix, near_zero_threshold: float = 1e-4) -> Coeff
     return CoefficientStats(max_abs, min_nonzero, math.log10(max_abs / min_nonzero), near / mags.size, near_zero_threshold)
 
 
-def _checked(values: Iterable[int], low: int, what: str) -> list[int]:
+def _checked(values: Iterable[int], low: int, what: str) -> list[int]:  # each value low or 1
     values = list(values)
     for i, v in enumerate(values):
         if v != low and v != 1:
