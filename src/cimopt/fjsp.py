@@ -234,25 +234,43 @@ def prune_variables(inst: FjspInstance) -> VariableIndex:
     return VariableIndex(tuple(entries), raw)
 
 
-def _check_index(inst: FjspInstance, index: VariableIndex) -> None:
-    raw = sum(len(op.eligible()) * (inst.t_max + 1) for _, _, op in inst.iter_operations())
+def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, np.ndarray]:
+    """Reject an index that prune_variables could not have built for inst;
+    return each entry's start and end time."""
+    ops = list(inst.iter_operations())
+    raw = sum(len(op.eligible()) for _, _, op in ops) * (inst.t_max + 1)
     if index.raw_count != raw:
         raise DimensionError(
             f"index was built for a different instance (raw count {index.raw_count} != {raw})"
         )
-    for j, h, _ in inst.iter_operations():
-        if not index.group(j, h):
-            raise DimensionError(f"index has no variables for operation ({j}, {h})")
-    for entry in index.entries:
-        if entry.job >= len(inst.jobs) or entry.op >= len(inst.jobs[entry.job].operations):
+    first_op = np.cumsum([0] + [len(job.operations) for job in inst.jobs])
+    times = np.array([[p or 0 for p in op.times] for _, _, op in ops])  # 0 marks an ineligible machine
+    earliest = np.array([min_predecessor_time(inst, j, h) for j, h, _ in ops])
+    latest = np.array([max_start_time(inst, j, h) for j, h, _ in ops])
+    job, op, machine, start = np.array(
+        [(e.job, e.op, e.machine, e.start) for e in index.entries], dtype=np.int64
+    ).reshape(-1, 4).T
+    # clipped lookups; an out-of-range job or machine, negative ones too, differs from its clip
+    jc = np.clip(job, 0, len(inst.jobs) - 1)
+    exists = (job == jc) & (op >= 0) & (op < np.diff(first_op)[jc])
+    op_id = np.where(exists, first_op[jc] + op, 0)
+    mc = np.clip(machine, 0, inst.machines - 1)
+    p = np.where(exists & (machine == mc), times[op_id, mc], 0)
+    ok = (p > 0) & (start >= earliest[op_id]) & (start + p <= latest[op_id])
+    missing = np.flatnonzero(np.bincount(op_id[exists], minlength=len(ops)) == 0)
+    if missing.size:
+        j, h, _ = ops[missing[0]]
+        raise DimensionError(f"index has no variables for operation ({j}, {h})")
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        k = bad[0]
+        entry = index.entries[k]
+        if not exists[k]:
             raise DimensionError(f"index entry {entry} does not exist in the instance")
-        times = inst.operation(entry.job, entry.op).times
-        if entry.machine >= len(times) or times[entry.machine] is None:
+        if not p[k]:
             raise DimensionError(f"index entry {entry} uses an ineligible machine")
-        earliest = min_predecessor_time(inst, entry.job, entry.op)
-        latest = max_start_time(inst, entry.job, entry.op)
-        if entry.start < earliest or entry.start + times[entry.machine] > latest:
-            raise DimensionError(f"index entry {entry} lies outside its pruning window")
+        raise DimensionError(f"index entry {entry} lies outside its pruning window")
+    return start, start + p
 
 
 def build_qubo(
@@ -278,7 +296,7 @@ def build_qubo(
     """
     if h3_mode not in ("strict", "paper-literal"):
         raise ValueError(f"unknown h3_mode {h3_mode!r}")
-    _check_index(inst, index)
+    start, end = _check_index(inst, index)
     builder = QuboBuilder(len(index))
 
     # H1: each operation picks exactly one (machine, start)
@@ -286,9 +304,6 @@ def build_qubo(
         for j, h, _ in inst.iter_operations():
             group = index.group(j, h)
             builder.add_squared({k: 1.0 for k in group}, -1.0, weights.alpha)
-
-    start = np.array([e.start for e in index.entries])
-    end = start + np.array([inst.operation(e.job, e.op).times[e.machine] for e in index.entries])
 
     # H2: successor must not start before its predecessor completes
     if weights.beta > 0:

@@ -179,9 +179,16 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
 
 
 def _dense_fields(work: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    jmat = np.zeros((work.n, work.n))
+    # float32 is exact when every coefficient is a multiple of 1/4 and
+    # 8 (max|h| + n max|J|) < 2**24: each field, partial sum, +-2-spin flip
+    # update and energy term is then a multiple of 1/4 that fits float32's
+    # 24-bit significand, so the anneal matches float64 bit for bit
+    quarters = np.concatenate([work.lin, work.vals]) * 4.0
+    bound = 8.0 * (np.abs(work.lin).max() + work.n * np.abs(work.vals).max(initial=0.0))
+    dtype = np.float32 if bound < 2**24 and np.array_equal(quarters, np.round(quarters)) else np.float64
+    jmat = np.zeros((work.n, work.n), dtype)
     jmat[work.rows, work.cols] = jmat[work.cols, work.rows] = work.vals
-    return work.lin, jmat
+    return work.lin.astype(dtype), jmat
 
 
 def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float]:
@@ -201,14 +208,17 @@ def _anneal_pool(
     their own per-restart streams (seed XOR restart index). Within a block,
     acceptance tests use the fields from before the block (single-spin
     semantics hold exactly when blocks are singletons, which is forced for
-    small models).
+    small models). Spins and fields take the dtype of ``h`` and ``jmat``,
+    which ``_dense_fields`` makes float32 only where that is exact; the
+    acceptance test, the energies and the pool keys (spin vectors as float64
+    bytes) are float64 either way.
     """
     n = h.size
     restarts = config.restarts
     rngs = [np.random.default_rng((config.seed ^ r) & _SEED_MASK) for r in range(restarts)]
     schedule_rng = np.random.default_rng((config.seed ^ _SCHEDULE_SALT) & _SEED_MASK)
 
-    spins = np.empty((restarts, n))
+    spins = np.empty((restarts, n), jmat.dtype)
     for r, rng in enumerate(rngs):
         spins[r] = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
     fields = spins @ jmat + h
@@ -220,35 +230,40 @@ def _anneal_pool(
         temps = np.array([t0])
 
     n_blocks = n if n <= 32 else (n + 15) // 16
+    spans = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n), n_blocks)]
     uniforms = np.empty((restarts, n))
+    ratio = np.empty((restarts, spans[0][1]))  # acceptance probabilities of one block
     pool: dict[bytes, float] = {}
     pool_cap = max(32, 4 * config.top_k)
     pool_worst = np.inf
 
     for sweep in range(sweeps):
-        beta = 1.0 / temps[sweep]
+        two_beta = 2.0 / temps[sweep]
         order = schedule_rng.permutation(n)
         for r, rng in enumerate(rngs):
             uniforms[r] = rng.random(n)
-        col = 0
-        for block in np.array_split(order, n_blocks):
-            width = block.size
-            s_blk = spins[:, block]
-            d_energy = -2.0 * s_blk * fields[:, block]
-            accept = uniforms[:, col : col + width] < np.exp(np.minimum(-d_energy * beta, 0.0))
-            col += width
+        for a, b in spans:
+            block = order[a:b]
+            s_blk = spins.take(block, axis=1)
+            p = ratio[:, : b - a]
+            np.multiply(s_blk, fields.take(block, axis=1), out=p)  # -dE/2 of each flip
+            p *= two_beta
+            np.minimum(p, 0.0, out=p)
+            accept = uniforms[:, a:b] < np.exp(p, out=p)
             if accept.any():
                 delta = np.where(accept, -2.0 * s_blk, 0.0)
                 spins[:, block] = s_blk + delta
-                fields += delta @ jmat[block, :]
+                fields += delta @ jmat.take(block, axis=0)
         if (sweep & 255) == 255:
             fields = spins @ jmat + h  # shed incremental-update drift
-        energies = 0.5 * np.sum(spins * (fields + h), axis=1)
+        energies = 0.5 * np.sum(spins * (fields + h), axis=1, dtype=np.float64)
+        if len(pool) >= pool_cap and energies.min() >= pool_worst:
+            continue
         for r in range(restarts):
             e = float(energies[r])
             if len(pool) >= pool_cap and e >= pool_worst:
                 continue
-            key = spins[r].tobytes()
+            key = spins[r].astype(np.float64).tobytes()
             prev = pool.get(key)
             if prev is None or e < prev:
                 pool[key] = e

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cimopt.fjsp import FjspInstance
+from cimopt.solver import _SCHEDULE_SALT, _SEED_MASK
 
 
 def naive_qubo_energy(q, x):
@@ -114,3 +115,72 @@ def random_micro_instance(rng):
         index = prune_variables(inst)
         if len(index) <= 22:
             return inst, index
+
+
+def reference_anneal_pool(h, jmat, config, t0, t1):
+    """The annealer as first written, all in float64: the golden reference
+    that the solver's dtype choice and block step must reproduce bit for bit.
+
+    Run restart-batched annealing chains; return visited low-energy states.
+
+    Spins are visited in a fresh random order every sweep; orders and blocks
+    are drawn from a schedule stream so that chains stay independent given
+    their own per-restart streams (seed XOR restart index). Within a block,
+    acceptance tests use the fields from before the block (single-spin
+    semantics hold exactly when blocks are singletons, which is forced for
+    small models).
+    """
+    n = h.size
+    restarts = config.restarts
+    rngs = [np.random.default_rng((config.seed ^ r) & _SEED_MASK) for r in range(restarts)]
+    schedule_rng = np.random.default_rng((config.seed ^ _SCHEDULE_SALT) & _SEED_MASK)
+
+    spins = np.empty((restarts, n))
+    for r, rng in enumerate(rngs):
+        spins[r] = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
+    fields = spins @ jmat + h
+
+    sweeps = config.sweeps
+    if sweeps > 1:
+        temps = t0 * (t1 / t0) ** (np.arange(sweeps) / (sweeps - 1))
+    else:
+        temps = np.array([t0])
+
+    n_blocks = n if n <= 32 else (n + 15) // 16
+    uniforms = np.empty((restarts, n))
+    pool: dict[bytes, float] = {}
+    pool_cap = max(32, 4 * config.top_k)
+    pool_worst = np.inf
+
+    for sweep in range(sweeps):
+        beta = 1.0 / temps[sweep]
+        order = schedule_rng.permutation(n)
+        for r, rng in enumerate(rngs):
+            uniforms[r] = rng.random(n)
+        col = 0
+        for block in np.array_split(order, n_blocks):
+            width = block.size
+            s_blk = spins[:, block]
+            d_energy = -2.0 * s_blk * fields[:, block]
+            accept = uniforms[:, col : col + width] < np.exp(np.minimum(-d_energy * beta, 0.0))
+            col += width
+            if accept.any():
+                delta = np.where(accept, -2.0 * s_blk, 0.0)
+                spins[:, block] = s_blk + delta
+                fields += delta @ jmat[block, :]
+        if (sweep & 255) == 255:
+            fields = spins @ jmat + h  # shed incremental-update drift
+        energies = 0.5 * np.sum(spins * (fields + h), axis=1)
+        for r in range(restarts):
+            e = float(energies[r])
+            if len(pool) >= pool_cap and e >= pool_worst:
+                continue
+            key = spins[r].tobytes()
+            prev = pool.get(key)
+            if prev is None or e < prev:
+                pool[key] = e
+                if len(pool) > pool_cap:
+                    keep = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[: pool_cap // 2]
+                    pool = dict(keep)
+                pool_worst = max(pool.values())
+    return pool

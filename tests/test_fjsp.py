@@ -11,6 +11,8 @@ from cimopt.fjsp import (
     FjspInstance,
     FjspWeights,
     Schedule,
+    TimedVariable,
+    VariableIndex,
     build_qubo,
     decode_schedule,
     diagnose_schedule,
@@ -237,6 +239,30 @@ class TestBuildQubo:
         other_index = prune_variables(other)
         with pytest.raises(DimensionError):
             build_qubo(table1, FjspWeights(1.0, 1.0, 1.0, 1.0), other_index)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda es: [e for e in es if (e.job, e.op) != (1, 2)], r"no variables for operation \(1, 2\)"),
+            (lambda es: es + [TimedVariable(0, 3, 0, 6)], "does not exist in the instance"),
+            (lambda es: es + [TimedVariable(3, 0, 0, 0)], "does not exist in the instance"),
+            (lambda es: [TimedVariable(-1, 0, 0, 0)] + es, "does not exist in the instance"),
+            (lambda es: es + [TimedVariable(0, 0, 3, 0)], "uses an ineligible machine"),
+            (lambda es: es + [TimedVariable(0, 1, 0, 2)], "lies outside its pruning window"),  # earliest 3
+            (lambda es: es + [TimedVariable(0, 0, 0, 11)], "lies outside its pruning window"),  # 11 + 3 > 13
+        ],
+    )
+    def test_index_entry_rejected(self, table1, table1_index, edit, message):
+        index = VariableIndex(tuple(edit(list(table1_index.entries))), table1_index.raw_count)
+        with pytest.raises(DimensionError, match=message):
+            build_qubo(table1, FjspWeights(1.0, 1.0, 1.0, 1.0), index)
+
+    def test_index_entry_on_ineligible_machine_rejected(self):
+        inst = FjspInstance.build(2, 4, [[[1, None]]])
+        index = prune_variables(inst)
+        bad = VariableIndex(index.entries + (TimedVariable(0, 0, 1, 0),), index.raw_count)
+        with pytest.raises(DimensionError, match=r"index entry .* uses an ineligible machine"):
+            build_qubo(inst, FjspWeights(1.0, 1.0, 1.0, 1.0), bad)
 
 
 class TestDecode:

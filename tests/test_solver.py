@@ -1,15 +1,28 @@
 """Solver contract: exactness, determinism, noise, quantized pipeline."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from cimopt import solver
 from cimopt.errors import BudgetExceededError, DegenerateMatrixError
+from cimopt.fjsp import FjspWeights, build_qubo, instance_from_doc, prune_variables
+from cimopt.peptide import (
+    CountEncodingConfig,
+    PeptideWeights,
+    build_count_qubo,
+    build_onehot_qubo,
+    problem_from_doc,
+)
 from cimopt.qubo import (
     IsingConvention,
     IsingModel,
     QuboBuilder,
     QuboMatrix,
     ising_energy,
+    quantize_int8,
     qubo_energy,
     qubo_to_ising,
     spins_to_bits,
@@ -22,7 +35,9 @@ from cimopt.solver import (
     solve_quantized,
 )
 
-from conftest import enum_qubo_energies
+from conftest import enum_qubo_energies, reference_anneal_pool
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 
 TWO_VAR = QuboMatrix(2, (1.0, 3.0), {(0, 1): 2.0})
 
@@ -254,3 +269,88 @@ class TestSolverConfig:
         q = QuboMatrix(2, (1.0, 1.0), {})
         result = solve_annealed(q, SolverConfig(sweeps=5, restarts=1, emulate_latency_ms=10))
         assert result.meta["wall_time_ms"] == 10
+
+
+def bundled_fjsp():
+    inst = instance_from_doc(json.loads((FIXTURES / "fjsp_3x3.json").read_text()))
+    return build_qubo(inst, FjspWeights(150, 100, 500, 15), prune_variables(inst))
+
+
+def lacrp4():
+    return problem_from_doc(json.loads((FIXTURES / "lacrp4.json").read_text()))
+
+
+def quarter_grid_model(top, n=40):
+    """Same-sign quarter-grid model whose largest |h| and |J| are both top / 4,
+    so 8 (max|h| + n max|J|) = 2 (n + 1) top and its fields are all large."""
+    rng = np.random.default_rng(top)
+    rows, cols = np.triu_indices(n, 1)
+    h = (top - rng.integers(0, 8, n)) / 4.0
+    j = (top - rng.integers(0, 8, rows.size)) / 4.0
+    h[0] = j[0] = top / 4.0
+    return IsingModel(n, h, dict(zip(zip(rows.tolist(), cols.tolist()), j.tolist())))
+
+
+def state_dtype(model):
+    return solver._dense_fields(solver._as_positive_ising(model))[1].dtype
+
+
+FLOAT32_TOP = (2**24 - 1) // 82  # largest top with 2 (40 + 1) top < 2**24
+
+GOLDEN = {
+    "fjsp": (bundled_fjsp, solve_annealed, np.float32),
+    "lacrp4-quantized": (lambda: build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1)), solve_quantized, np.float32),
+    "lacrp4-onehot": (lambda: build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1)), solve_annealed, np.float64),
+    "count": (lambda: build_count_qubo(lacrp4(), CountEncodingConfig()), solve_annealed, np.float64),
+    "singletons-float64": (lambda: random_model(np.random.default_rng(5), 12), solve_annealed, np.float64),
+    "singletons-float32": (
+        lambda: quantize_int8(random_model(np.random.default_rng(6), 20)).to_matrix(), solve_annealed, np.float32
+    ),
+    "at-float32-bound": (lambda: quarter_grid_model(FLOAT32_TOP), solve_annealed, np.float32),
+}
+
+
+class TestAnnealStateDtype:
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_matches_float64_reference(self, monkeypatch, name):
+        # 300 sweeps cross the field resync after sweep 256
+        build, solve, dtype = GOLDEN[name]
+        q = build()
+        config = SolverConfig(sweeps=300, seed=len(name))
+        runs = []
+
+        def run(anneal):
+            def spy(h, jmat, *args):
+                runs.append((jmat.dtype, list(anneal(h, jmat, *args).items())))
+                return dict(runs[-1][1])
+            monkeypatch.setattr(solver, "_anneal_pool", spy)
+            return solve(q, config)
+
+        def reference(h, jmat, *args):
+            return reference_anneal_pool(h.astype(np.float64), jmat.astype(np.float64), *args)
+
+        result = run(solver._anneal_pool)
+        expected = run(reference)
+        assert runs[0][0] == dtype
+        assert runs[0][1] == runs[1][1]  # same pool, entry for entry and in order
+        assert result.solutions == expected.solutions
+        assert result.meta == expected.meta
+
+    def test_quantized_model_takes_float32(self):
+        q = random_model(np.random.default_rng(3), 40, magnitude=300.0)
+        assert state_dtype(q) == np.float64
+        assert state_dtype(quantize_int8(q).to_matrix()) == np.float32
+
+    def test_one_off_grid_coefficient_takes_float64(self):
+        assert state_dtype(IsingModel(3, (1.0, 0.25, -0.5), {(0, 1): 2.0, (1, 2): 0.75})) == np.float32
+        assert state_dtype(IsingModel(3, (1.0, 0.25, -0.5), {(0, 1): 2.0, (1, 2): 0.1})) == np.float64
+        assert state_dtype(IsingModel(3, (1.0, 0.1, -0.5), {(0, 1): 2.0, (1, 2): 0.75})) == np.float64
+
+    def test_bound_edges(self):
+        # float32 needs 8 (max|h| + n max|J|) < 2**24
+        assert state_dtype(quarter_grid_model(FLOAT32_TOP)) == np.float32
+        assert state_dtype(quarter_grid_model(FLOAT32_TOP + 1)) == np.float64
+        assert state_dtype(IsingModel(2, (0.0, 0.0), {(0, 1): 2.0**20 - 0.25})) == np.float32
+        assert state_dtype(IsingModel(2, (0.0, 0.0), {(0, 1): 2.0**20})) == np.float64
+        assert state_dtype(IsingModel(1, (2.0**21 - 0.25,), {})) == np.float32
+        assert state_dtype(IsingModel(1, (2.0**21,), {})) == np.float64
