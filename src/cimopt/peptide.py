@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, require_type
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -435,14 +435,30 @@ def problem_to_doc(problem: PeptideProblem) -> dict:
 
 
 def problem_from_doc(doc: Mapping) -> PeptideProblem:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
     if "target_mass" not in doc:
         raise ValueError("problem document is missing field 'target_mass'")
+    (target_mass,) = require_type([doc["target_mass"]], (int, float), "target_mass")
+    try:
+        target_mass = float(target_mass)
+    except OverflowError:  # a JSON integer too large for a float
+        raise ValueError("target_mass is out of range") from None
     positions = doc.get("positions")
+    if positions is not None:
+        require_type([positions], (int,), "positions")
+    (half_water,) = require_type([doc.get("half_water_per_acid", False)], (bool,), "half_water_per_acid")
+    table, calibration = require_type(
+        [doc.get("mass_table", "average"), doc.get("calibration", "none")], (str,), "mass_table and calibration"
+    )
+    label = doc.get("label")
+    if label is not None:
+        require_type([label], (str,), "label")
     return make_problem(
-        target_mass=float(doc["target_mass"]),
-        positions=None if positions is None else int(positions),
-        table=doc.get("mass_table", "average"),
-        calibration=doc.get("calibration", "none"),
-        half_water_per_acid=bool(doc.get("half_water_per_acid", False)),
-        label=doc.get("label"),
+        target_mass=target_mass,
+        positions=positions,
+        table=table,
+        calibration=calibration,
+        half_water_per_acid=half_water,
+        label=label,
     )

@@ -212,6 +212,19 @@ def _anneal_pool(
     which ``_dense_fields`` makes float32 only where that is exact; the
     acceptance test, the energies and the pool keys (spin vectors as float64
     bytes) are float64 either way.
+
+    Each sweep gathers the spins once in visiting order (``visit``) and
+    derives two buffers from it: the flip deltas -2 * visit, and
+    visit * 2beta in float64. As s = +-1, (s * 2beta) * f is bit for bit
+    (s * f) * 2beta, so a block needs one product for -dE * beta. The test
+    u < exp(-dE * beta) needs no clamp of the exponent at 0: a positive one
+    gives exp >= 1 > u, as the clamp would, and one past exp's range gives
+    inf, so overflow warnings are silenced. Every spin is visited once per
+    sweep, so no block reads a spin that an earlier block of the sweep
+    flipped: accepted flips are recorded in ``flips`` and written to
+    ``spins`` once, after the sweep's last block. The pool's largest
+    energy is kept incrementally; it is recomputed only when the entry
+    holding it is lowered.
     """
     n = h.size
     restarts = config.restarts
@@ -229,53 +242,82 @@ def _anneal_pool(
     else:
         temps = np.array([t0])
 
-    n_blocks = n if n <= 32 else (n + 15) // 16
-    spans = [(int(b[0]), int(b[-1]) + 1) for b in np.array_split(np.arange(n), n_blocks)]
+    # per-sweep buffers in visiting order, each block's views of them, and
+    # scratch shared by all blocks (contiguous views of the widest block's)
+    order = np.empty(n, np.intp)
     uniforms = np.empty((restarts, n))
-    ratio = np.empty((restarts, spans[0][1]))  # acceptance probabilities of one block
+    visit = np.empty_like(spins)
+    minus2 = np.empty_like(spins)  # flip deltas
+    visit2b = np.empty((restarts, n))  # visit * 2 beta
+    flips = np.empty((restarts, n), bool)
+    dfields = np.empty_like(spins)
+    spans = np.array_split(np.arange(n), n if n <= 32 else (n + 15) // 16)
+    widest = spans[0].size
+    f_buf, p_buf = np.empty(restarts * widest, jmat.dtype), np.empty(restarts * widest)
+    j_buf = np.empty((widest, n), jmat.dtype)
+    blocks = []
+    for span in spans:
+        cols, w = slice(int(span[0]), int(span[-1]) + 1), span.size
+        f_blk, p = f_buf[: restarts * w].reshape(restarts, w), p_buf[: restarts * w].reshape(restarts, w)
+        blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], flips[:, cols], minus2[:, cols], j_buf[:w]))
+
     pool: dict[bytes, float] = {}
     pool_cap = max(32, 4 * config.top_k)
-    pool_worst = np.inf
+    pool_worst = -np.inf  # largest energy in the pool
 
     for sweep in range(sweeps):
-        two_beta = 2.0 / temps[sweep]
-        order = schedule_rng.permutation(n)
+        order[:] = schedule_rng.permutation(n)
         for r, rng in enumerate(rngs):
-            uniforms[r] = rng.random(n)
-        for a, b in spans:
-            block = order[a:b]
-            s_blk = spins.take(block, axis=1)
-            p = ratio[:, : b - a]
-            np.multiply(s_blk, fields.take(block, axis=1), out=p)  # -dE/2 of each flip
-            p *= two_beta
-            np.minimum(p, 0.0, out=p)
-            accept = uniforms[:, a:b] < np.exp(p, out=p)
-            if accept.any():
-                delta = np.where(accept, -2.0 * s_blk, 0.0)
-                spins[:, block] = s_blk + delta
-                fields += delta @ jmat.take(block, axis=0)
+            rng.random(out=uniforms[r])
+        spins.take(order, 1, visit, "clip")
+        np.multiply(visit, -2.0, out=minus2)
+        np.multiply(visit, 2.0 / temps[sweep], out=visit2b, dtype=np.float64)
+        with np.errstate(over="ignore"):
+            for block, f_blk, v2b, p, u, accept, m2, j_blk in blocks:
+                fields.take(block, 1, f_blk, "clip")
+                np.multiply(v2b, f_blk, out=p)  # -dE of each flip, times beta
+                np.exp(p, out=p)
+                np.less(u, p, out=accept)
+                if np.count_nonzero(accept):
+                    jmat.take(block, 0, j_blk, "clip")
+                    fields += np.matmul(np.where(accept, m2, 0.0), j_blk, out=dfields)
+        np.negative(visit, out=visit, where=flips)
+        spins[:, order] = visit
         if (sweep & 255) == 255:
             fields = spins @ jmat + h  # shed incremental-update drift
         energies = 0.5 * np.sum(spins * (fields + h), axis=1, dtype=np.float64)
-        if len(pool) >= pool_cap and energies.min() >= pool_worst:
+        full = len(pool) >= pool_cap
+        if full and energies.min() >= pool_worst:
             continue
-        for r in range(restarts):
-            e = float(energies[r])
-            if len(pool) >= pool_cap and e >= pool_worst:
+        keys = spins.astype(np.float64, copy=False)
+        for r, e in enumerate(energies.tolist()):
+            if full and e >= pool_worst:
                 continue
-            key = spins[r].astype(np.float64).tobytes()
+            key = keys[r].tobytes()
             prev = pool.get(key)
-            if prev is None or e < prev:
+            if prev is None:
                 pool[key] = e
+                pool_worst = max(pool_worst, e)
                 if len(pool) > pool_cap:
                     keep = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[: pool_cap // 2]
                     pool = dict(keep)
-                pool_worst = max(pool.values())
+                    pool_worst = keep[-1][1]
+                full = len(pool) >= pool_cap
+            elif e < prev:
+                pool[key] = e
+                if prev == pool_worst:
+                    pool_worst = max(pool.values())
     return pool
 
 
 def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveResult:
-    """Multi-restart Metropolis annealing under a geometric cooling schedule.
+    """Multi-restart annealing under a geometric cooling schedule.
+
+    Each sweep visits every spin once, in a fresh random order, with the
+    Metropolis acceptance rule. For n <= 32 the updates are single-spin
+    Metropolis. For larger n they are block-synchronous: blocks of about 16
+    spins are tested together against the fields from before the block, so
+    two coupled spins of one block may flip in the same step.
 
     Restart r runs an independent chain seeded with seed XOR r; the best
     distinct states across all chains are pooled, re-evaluated, and ranked.

@@ -21,7 +21,7 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import PolicyError
+from .errors import PolicyError, require_type
 from .fjsp import (
     FjspInstance,
     FjspWeights,
@@ -670,9 +670,12 @@ def parse_policy_decision(doc, required_names: Sequence[str]) -> PolicyDecision:
         clean = {}
         for name, value in weights.items():
             try:
+                require_type([value], (int, float), f"weight {name!r}")
                 value = float(value)
-            except (TypeError, ValueError) as exc:
-                raise PolicyError(f"weight {name!r} is not a number: {value!r}") from exc
+            except ValueError as exc:
+                raise PolicyError(str(exc)) from exc
+            except OverflowError as exc:
+                raise PolicyError(f"weight {name!r} is out of range") from exc
             if not math.isfinite(value) or value <= 0:
                 raise PolicyError(f"non-positive weight {name!r}: {value!r}")
             clean[name] = value

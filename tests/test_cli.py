@@ -261,6 +261,31 @@ class TestInstanceDocumentRejection:
         assert "must be int, got 0.9" in err and "Traceback" not in err
 
 
+
+class TestProblemDocumentRejection:
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"positions": 12.7}, "positions must be int, got 12.7"),
+            ({"positions": True}, "positions must be int, got True"),
+            ({"half_water_per_acid": "false"}, "half_water_per_acid must be bool, got 'false'"),
+            ({"target_mass": "1448.77"}, "target_mass must be int or float, got '1448.77'"),
+            ({"target_mass": True}, "target_mass must be int or float, got True"),
+            ({"target_mass": 10**400}, "target_mass is out of range"),
+            ({"mass_table": 1}, "mass_table and calibration must be str, got 1"),
+            ({"calibration": None}, "mass_table and calibration must be str, got None"),
+            ({"label": 4}, "label must be str, got 4"),
+        ],
+    )
+    def test_rejected_with_message(self, tmp_path, capsys, change, message):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"target_mass": 1448.77, "positions": 13, **change}))
+        rc = main(["peptide", "--problem", str(path), "--out", str(tmp_path), "--sweeps", "20", "--restarts", "1"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "result.json").exists()
+
 class TestOracleCommand:
     def test_bundled_instance(self, capsys):
         rc = main(["oracle"])

@@ -22,6 +22,7 @@ from cimopt.peptide import (
     evaluate_population,
     make_problem,
     problem_from_doc,
+    problem_to_doc,
     residue_masses,
     sequence_mass,
 )
@@ -323,6 +324,32 @@ class TestProblemDocs:
     def test_missing_target_mass(self):
         with pytest.raises(ValueError, match="target_mass"):
             problem_from_doc({"positions": 3})
+
+    def test_written_document_reads_back(self):
+        problem = make_problem(1448, positions=13, half_water_per_acid=True)
+        assert problem.label is None
+        assert problem_from_doc(problem_to_doc(problem)) == problem
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"target_mass": None},
+            {"target_mass": [1448.77]},
+            {"positions": "13"},
+            {"positions": 13.0},
+            {"half_water_per_acid": 1},
+            {"mass_table": ["average"]},
+            {"calibration": False},
+            {"label": ["LACRP4"]},
+        ],
+    )
+    def test_coercible_fields_rejected(self, change):
+        with pytest.raises(ValueError, match="must be"):
+            problem_from_doc({"target_mass": 1448.77, "positions": 13, **change})
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            problem_from_doc(["target_mass"])
 
     def test_subtract_water_calibration(self):
         problem = problem_from_doc(

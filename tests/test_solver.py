@@ -336,6 +336,32 @@ class TestAnnealStateDtype:
         assert result.solutions == expected.solutions
         assert result.meta == expected.meta
 
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float64", "float32"])
+    @pytest.mark.parametrize(
+        "n, settings",
+        [
+            (33, {}),  # just past the singleton limit: three blocks of 11 spins
+            (47, {}),  # uneven blocks of 16, 16 and 15 spins
+            # 40 states a sweep into a pool of 32: evictions and refills within
+            # one sweep, and (float64) keys lowered by field drift, some holding
+            # the pool's largest energy
+            (47, {"restarts": 40, "top_k": 1}),
+            (40, {"temp_initial": 1e-6, "temp_final": 1e-9}),  # exp overflows on downhill flips
+        ],
+    )
+    def test_pool_matches_float64_reference(self, n, settings, quantized):
+        q = random_model(np.random.default_rng(n), n, density=0.4)
+        if quantized:
+            q = quantize_int8(q).to_matrix()
+        work = solver._as_positive_ising(q)
+        h, jmat = solver._dense_fields(work)
+        config = SolverConfig(sweeps=300, seed=n, **settings)
+        t0, t1 = solver._resolve_temps(config, work)
+        pool = solver._anneal_pool(h, jmat, config, t0, t1)
+        expected = reference_anneal_pool(h.astype(np.float64), jmat.astype(np.float64), config, t0, t1)
+        assert jmat.dtype == (np.float32 if quantized else np.float64)
+        assert list(pool.items()) == list(expected.items())
+
     def test_quantized_model_takes_float32(self):
         q = random_model(np.random.default_rng(3), 40, magnitude=300.0)
         assert state_dtype(q) == np.float64

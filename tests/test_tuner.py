@@ -329,6 +329,16 @@ class TestDecisionParsing:
         with pytest.raises(PolicyError, match="version"):
             parse_policy_decision('{"v": 2, "action": "stop"}', required_names=())
 
+    @pytest.mark.parametrize("value", ["true", '"150"', "null", "[1.0]", '{"x": 1}', "1" + "0" * 400])
+    def test_malformed_weight_rejected(self, value):
+        with pytest.raises(PolicyError, match="'gamma'"):
+            parse_policy_decision(f'{{"action": "adjust", "weights": {{"gamma": {value}}}}}', required_names=("gamma",))
+
+    def test_int_weight_accepted_as_float(self):
+        decision = parse_policy_decision('{"action": "adjust", "weights": {"gamma": 150}}', required_names=("gamma",))
+        assert decision.new_weights == {"gamma": 150.0}
+        assert type(decision.new_weights["gamma"]) is float
+
 
 PY = sys.executable
 
