@@ -71,10 +71,17 @@ class _Pairs(NamedTuple):  # COO pair arrays: how a model is built without a dic
 
 
 def _frozen(values, dtype) -> np.ndarray:
-    """A read-only array of ``dtype``, copied unless it is one already."""
+    """A read-only array of ``dtype``, copied unless it is one already.
+
+    Raises ValueError for a value ``dtype`` cannot hold, such as a JSON
+    integer too large for a float.
+    """
     a = np.asarray(values)
     if a.dtype != dtype or a.flags.writeable:
-        a = a.astype(dtype)
+        try:
+            a = a.astype(dtype)
+        except OverflowError as exc:
+            raise ValueError(f"value out of range for {np.dtype(dtype)}: {exc}") from None
     a.flags.writeable = False
     return a
 
@@ -167,7 +174,7 @@ class QuboMatrix(_Terms):
     upper = property(_Terms._mapping)
 
     def __init__(self, n: int, diag: Sequence[float], upper: Mapping, offset: float = 0.0):
-        self._store(n, diag, upper, offset=float(offset))
+        self._store(n, diag, upper, offset=float(_frozen(offset, np.float64)))
 
     def coefficients(self) -> Iterator[float]:
         """All stored coefficients, diagonal first. The offset is not one."""
@@ -190,7 +197,7 @@ class IsingModel(_Terms):
 
     def __init__(self, n: int, h: Sequence[float], J: Mapping, offset: float = 0.0,
                  convention: IsingConvention = IsingConvention.POSITIVE_SUM):
-        self._store(n, h, J, offset=float(offset), convention=IsingConvention(convention))
+        self._store(n, h, J, offset=float(_frozen(offset, np.float64)), convention=IsingConvention(convention))
 
 
 @dataclass(frozen=True)
@@ -366,8 +373,9 @@ def qubo_to_ising(q: QuboMatrix, convention: IsingConvention = IsingConvention.P
     all energies. The result shares q's pair index arrays.
     """
     quarter = q.vals / 4.0
-    h = q.lin / 2.0 + np.bincount(q.rows, quarter, q.n) + np.bincount(q.cols, quarter, q.n)
-    offset = q.offset + float(q.lin.sum()) / 2.0 + float(quarter.sum())
+    with np.errstate(over="ignore"):  # a sum past float range is rejected below as not finite
+        h = q.lin / 2.0 + np.bincount(q.rows, quarter, q.n) + np.bincount(q.cols, quarter, q.n)
+        offset = q.offset + float(q.lin.sum()) / 2.0 + float(quarter.sum())
     if convention is IsingConvention.NEGATED_SUM:
         h, quarter = -h, -quarter
     return IsingModel(q.n, h, _Pairs(q.rows, q.cols, quarter), offset, convention)

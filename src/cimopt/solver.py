@@ -213,16 +213,35 @@ def _anneal_pool(
     acceptance test, the energies and the pool keys (spin vectors as float64
     bytes) are float64 either way.
 
+    Every buffer and block view the sweep uses is made once per solve;
+    only the field resync every 256 sweeps and new pool keys allocate.
+    Each restart draws its acceptance uniforms for up to ``chunk`` sweeps
+    in one call, into a buffer of at most 2**17 doubles (1 MiB; one
+    sweep's worth if that alone is larger). A Generator fills its output
+    in C order, so sweep k reads the same n numbers that a per-sweep draw
+    would; each sweep copies its row into ``uniforms``, which the block
+    views see. The visiting order is shuffled in place, which is what
+    ``Generator.permutation`` does to a fresh ``arange``.
+
     Each sweep gathers the spins once in visiting order (``visit``) and
     derives two buffers from it: the flip deltas -2 * visit, and
     visit * 2beta in float64. As s = +-1, (s * 2beta) * f is bit for bit
     (s * f) * 2beta, so a block needs one product for -dE * beta. The test
     u < exp(-dE * beta) needs no clamp of the exponent at 0: a positive one
     gives exp >= 1 > u, as the clamp would, and one past exp's range gives
-    inf, so overflow warnings are silenced. Every spin is visited once per
-    sweep, so no block reads a spin that an earlier block of the sweep
-    flipped: accepted flips are recorded in ``flips`` and written to
-    ``spins`` once, after the sweep's last block. The pool's largest
+    inf, so overflow warnings are silenced. Each block writes its deltas
+    times the accept mask into its view of ``delta`` and multiplies that
+    strided view with its rows of ``jmat``. A rejected flip's entry is
+    -2s * 0, which is -0.0 where s = +1 (a mask select would give +0.0).
+    A signed zero adds nothing to a sum that has a nonzero term, so the
+    only possible difference is the sign of a field or energy that is
+    exactly zero: exp(+-0) = 1 and -0.0 == 0.0, so no accept decision,
+    pool key or pool order changes, and reported energies are recomputed
+    from the pooled spins. Every spin is visited once per sweep, so no
+    block reads a spin that an earlier block of the sweep flipped: after
+    the last block, ``visit += delta`` applies the flips (s - 2s = -s and
+    s + 0 = s, both exact) and one gather through the inverse of the
+    visiting order writes them back to ``spins``. The pool's largest
     energy is kept incrementally; it is recomputed only when the entry
     holding it is lowered.
     """
@@ -244,48 +263,63 @@ def _anneal_pool(
 
     # per-sweep buffers in visiting order, each block's views of them, and
     # scratch shared by all blocks (contiguous views of the widest block's)
-    order = np.empty(n, np.intp)
+    chunk = max(1, min(sweeps, 2**17 // (restarts * n)))
+    draws = np.empty((restarts, chunk, n))  # acceptance uniforms of `chunk` sweeps
+    natural = np.arange(n)
+    order, inverse = np.empty(n, np.intp), np.empty(n, np.intp)
     uniforms = np.empty((restarts, n))
     visit = np.empty_like(spins)
     minus2 = np.empty_like(spins)  # flip deltas
+    delta = np.empty_like(spins)  # flip deltas of accepted flips, +-0 elsewhere
     visit2b = np.empty((restarts, n))  # visit * 2 beta
-    flips = np.empty((restarts, n), bool)
     dfields = np.empty_like(spins)
-    spans = np.array_split(np.arange(n), n if n <= 32 else (n + 15) // 16)
+    local = np.empty_like(spins)  # spins * (fields + h)
+    energies = np.empty(restarts)
+    spans = np.array_split(natural, n if n <= 32 else (n + 15) // 16)
     widest = spans[0].size
     f_buf, p_buf = np.empty(restarts * widest, jmat.dtype), np.empty(restarts * widest)
+    a_buf = np.empty(restarts * widest, bool)
     j_buf = np.empty((widest, n), jmat.dtype)
     blocks = []
     for span in spans:
         cols, w = slice(int(span[0]), int(span[-1]) + 1), span.size
-        f_blk, p = f_buf[: restarts * w].reshape(restarts, w), p_buf[: restarts * w].reshape(restarts, w)
-        blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], flips[:, cols], minus2[:, cols], j_buf[:w]))
+        f_blk, p, accept = (buf[: restarts * w].reshape(restarts, w) for buf in (f_buf, p_buf, a_buf))
+        blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], accept, minus2[:, cols], delta[:, cols], j_buf[:w]))
 
     pool: dict[bytes, float] = {}
     pool_cap = max(32, 4 * config.top_k)
     pool_worst = -np.inf  # largest energy in the pool
 
     for sweep in range(sweeps):
-        order[:] = schedule_rng.permutation(n)
-        for r, rng in enumerate(rngs):
-            rng.random(out=uniforms[r])
+        row = sweep % chunk
+        if row == 0:
+            for r, rng in enumerate(rngs):
+                rng.random(out=draws[r, : sweeps - sweep])
+        uniforms[...] = draws[:, row]
+        order[:] = natural
+        schedule_rng.shuffle(order)
         spins.take(order, 1, visit, "clip")
         np.multiply(visit, -2.0, out=minus2)
         np.multiply(visit, 2.0 / temps[sweep], out=visit2b, dtype=np.float64)
         with np.errstate(over="ignore"):
-            for block, f_blk, v2b, p, u, accept, m2, j_blk in blocks:
+            for block, f_blk, v2b, p, u, accept, m2, d_blk, j_blk in blocks:
                 fields.take(block, 1, f_blk, "clip")
                 np.multiply(v2b, f_blk, out=p)  # -dE of each flip, times beta
                 np.exp(p, out=p)
                 np.less(u, p, out=accept)
+                np.multiply(m2, accept, out=d_blk)
                 if np.count_nonzero(accept):
                     jmat.take(block, 0, j_blk, "clip")
-                    fields += np.matmul(np.where(accept, m2, 0.0), j_blk, out=dfields)
-        np.negative(visit, out=visit, where=flips)
-        spins[:, order] = visit
+                    fields += np.matmul(d_blk, j_blk, out=dfields)
+        visit += delta
+        inverse[order] = natural
+        visit.take(inverse, 1, spins, "clip")
         if (sweep & 255) == 255:
             fields = spins @ jmat + h  # shed incremental-update drift
-        energies = 0.5 * np.sum(spins * (fields + h), axis=1, dtype=np.float64)
+        np.add(fields, h, out=local)
+        np.multiply(spins, local, out=local)
+        np.add.reduce(local, axis=1, dtype=np.float64, out=energies)
+        energies *= 0.5
         full = len(pool) >= pool_cap
         if full and energies.min() >= pool_worst:
             continue
@@ -299,9 +333,9 @@ def _anneal_pool(
                 pool[key] = e
                 pool_worst = max(pool_worst, e)
                 if len(pool) > pool_cap:
-                    keep = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[: pool_cap // 2]
-                    pool = dict(keep)
-                    pool_worst = keep[-1][1]
+                    keep = sorted(zip(pool.values(), pool))[: pool_cap // 2]
+                    pool = {k: v for v, k in keep}
+                    pool_worst = keep[-1][0]
                 full = len(pool) >= pool_cap
             elif e < prev:
                 pool[key] = e
@@ -319,8 +353,15 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     spins are tested together against the fields from before the block, so
     two coupled spins of one block may flip in the same step.
 
-    Restart r runs an independent chain seeded with seed XOR r; the best
-    distinct states across all chains are pooled, re-evaluated, and ranked.
+    Restart r runs its own chain, whose initial spins and acceptance draws
+    come from a stream seeded with seed XOR r; the best distinct states
+    across all chains are pooled, re-evaluated, and ranked. Seeds therefore
+    share chain streams: with the default 8 restarts, seeds 0-7 all run
+    the streams seeded 0-7 (each in another order) and differ only in the
+    visiting order, which comes from a stream of the seed itself; seeds
+    8-15 share the next set, and so on for any aligned block of
+    ``restarts`` seeds when ``restarts`` is a power of two. Runs over
+    consecutive seeds are less independent than their count suggests.
     """
     config = config or SolverConfig()
     work = _as_positive_ising(model)

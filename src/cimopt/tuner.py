@@ -16,8 +16,6 @@ import math
 import shlex
 import subprocess
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -134,21 +132,28 @@ class PolicyContext:
 
 @dataclass
 class TunerMemory:
-    """Tried weight maps, the incumbent best, and a bounded history."""
+    """Tried weight maps, the incumbent best, and a bounded history.
+
+    ``tried`` keeps every recorded map (as sorted item tuples), so ``seen``
+    answers for the whole run; ``weight_history`` keeps only the last
+    ``max_history`` of them.
+    """
 
     max_history: int = 20
     weight_history: list[dict[str, float]] = field(default_factory=list)
     best_metric: float | None = None
     best_weights: dict[str, float] | None = None
+    tried: set[tuple[tuple[str, float], ...]] = field(default_factory=set)
 
     def seen(self, weights: Mapping[str, float]) -> bool:
-        return any(entry == dict(weights) for entry in self.weight_history)
+        return tuple(sorted(weights.items())) in self.tried
 
     def record_trial(self, weights: Mapping[str, float]) -> None:
-        entry = dict(weights)
-        if entry in self.weight_history:
+        key = tuple(sorted(weights.items()))
+        if key in self.tried:
             return
-        self.weight_history.append(entry)
+        self.tried.add(key)
+        self.weight_history.append(dict(weights))
         if len(self.weight_history) > self.max_history:
             del self.weight_history[0 : len(self.weight_history) - self.max_history]
 
@@ -699,6 +704,9 @@ def external_policy(endpoint: str, timeout: float = 30.0) -> Callable[[PolicyCon
     def call(ctx: PolicyContext) -> PolicyDecision:
         payload = json.dumps(ctx.to_doc(), sort_keys=True)
         if is_http:
+            import urllib.error  # only HTTP policies pay for this import
+            import urllib.request
+
             request = urllib.request.Request(
                 endpoint,
                 data=payload.encode(),

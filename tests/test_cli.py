@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,9 @@ class TestModelDocumentRejection:
             ({"upper": [[0, 1, True]]}, "coefficients"),
             ({"diag": [1.0, "3"]}, "coefficients"),
             ({"upper": [[0, 1, 2.0], [0, 1, 5.0]]}, "repeats pair (0, 1)"),
+            ({"diag": [10**400, 3.0]}, "out of range for float64"),
+            ({"upper": [[0, 1, -(10**400)]]}, "out of range for float64"),
+            ({"offset": 10**400}, "out of range for float64"),
         ],
     )
     @pytest.mark.parametrize("action", ["to-ising", "quantize"])
@@ -222,6 +226,19 @@ class TestModelDocumentRejection:
         captured = capsys.readouterr()
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
+
+    def test_ising_offset_past_float_range_without_warning(self, tmp_path, capsys):
+        # every coefficient is finite, but the Ising offset sums past float range
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "diag": [1e308, 1e308], "upper": [[0, 1, 1e308]], "offset": 1e308}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["qubo", "to-ising", str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "offset is not finite" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not caught
 
     def test_ising_document_repeated_pair(self, tmp_path, capsys):
         path = tmp_path / "ising.json"

@@ -1,6 +1,7 @@
 """Solver contract: exactness, determinism, noise, quantized pipeline."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,11 @@ class TestAnnealStateDtype:
             # the pool's largest energy
             (47, {"restarts": 40, "top_k": 1}),
             (40, {"temp_initial": 1e-6, "temp_final": 1e-9}),  # exp overflows on downhill flips
+            # 8 restarts of 47 spins draw uniforms for 2**17 // 376 = 348 sweeps at a time
+            (47, {"sweeps": 347}),  # fewer sweeps than one chunk
+            (47, {"sweeps": 348}),  # exactly one chunk
+            (47, {"sweeps": 448}),  # a chunk and a remainder of 100 sweeps
+            (200, {"restarts": 656, "sweeps": 3}),  # 656 * 200 > 2**17: one sweep per chunk
         ],
     )
     def test_pool_matches_float64_reference(self, n, settings, quantized):
@@ -355,12 +361,28 @@ class TestAnnealStateDtype:
             q = quantize_int8(q).to_matrix()
         work = solver._as_positive_ising(q)
         h, jmat = solver._dense_fields(work)
-        config = SolverConfig(sweeps=300, seed=n, **settings)
+        config = SolverConfig(**{"sweeps": 300, "seed": n, **settings})
         t0, t1 = solver._resolve_temps(config, work)
         pool = solver._anneal_pool(h, jmat, config, t0, t1)
         expected = reference_anneal_pool(h.astype(np.float64), jmat.astype(np.float64), config, t0, t1)
         assert jmat.dtype == (np.float32 if quantized else np.float64)
         assert list(pool.items()) == list(expected.items())
+
+    def test_draw_buffer_is_bounded(self):
+        # 2,000 sweeps of 8 x 100 uniforms would be 12.8 MB drawn at once;
+        # chunks hold at most 2**17 doubles (1 MiB)
+        q = random_model(np.random.default_rng(100), 100, density=0.4)
+        work = solver._as_positive_ising(q)
+        h, jmat = solver._dense_fields(work)
+        config = SolverConfig(sweeps=2000, seed=1)
+        t0, t1 = solver._resolve_temps(config, work)
+        tracemalloc.start()
+        try:
+            solver._anneal_pool(h, jmat, config, t0, t1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
     def test_quantized_model_takes_float32(self):
         q = random_model(np.random.default_rng(3), 40, magnitude=300.0)

@@ -1,7 +1,10 @@
 """Tuning loop, memory semantics, rule policies, external policy protocol."""
 
+import http.server
 import json
+import socket
 import sys
+import threading
 
 import pytest
 
@@ -207,6 +210,21 @@ class TestRunTuning:
         assert report.iterations_run == 1
         assert report.memory.weight_history == [WEIGHTS0]
 
+    def test_repeat_older_than_history_halts(self, table1):
+        # 21 new maps push the first proposal out of the 20-map history
+        task = FjspTask(table1)
+        proposals = iter([101.0 + k for k in range(21)] + [101.0])
+
+        def cycle_policy(ctx):
+            weights = dict(ctx.current_weights)
+            weights["gamma"] = next(proposals)
+            return PolicyDecision("adjust", weights, rationale="cycle")
+
+        report = run_tuning(task, WEIGHTS0, cycle_policy, SolverConfig(sweeps=10, restarts=1, seed=1), max_iter=30)
+        assert report.stop_reason == "duplicate_weights"
+        assert report.iterations_run == 22
+        assert len(report.memory.weight_history) == 20
+
     def test_incumbent_monotone_and_feasible_only(self, table1):
         task = FjspTask(table1)
         seen = []
@@ -397,3 +415,61 @@ class TestExternalPolicy:
         task = FjspTask(table1)
         with pytest.raises(PolicyError, match="no output"):
             run_tuning(task, WEIGHTS0, policy, FAST, max_iter=1)
+
+
+class TestHttpPolicy:
+    """The HTTP transport against a loopback server on an ephemeral port."""
+
+    @pytest.fixture
+    def server(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")  # loopback requests must not go through a proxy
+        replies, received = [], []
+
+        class Handler(http.server.BaseHTTPRequestHandler):
+            def do_POST(self):
+                received.append((self.headers["Content-Type"], self.rfile.read(int(self.headers["Content-Length"]))))
+                status, body = replies.pop(0)
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield f"http://127.0.0.1:{httpd.server_address[1]}/decide", replies, received
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_valid_reply_parses(self, server):
+        url, replies, received = server
+        weights = dict(WEIGHTS0, gamma=500)
+        replies.append((200, json.dumps({"v": 1, "action": "adjust", "weights": weights, "confidence": "high"}).encode()))
+        decision = external_policy(url, timeout=10)(fjsp_context())
+        assert decision.action == "adjust"
+        assert decision.new_weights == dict(WEIGHTS0, gamma=500.0)
+        assert decision.confidence == "high"
+        content_type, body = received[0]
+        assert content_type == "application/json"
+        assert json.loads(body) == fjsp_context().to_doc()
+
+    def test_server_error_is_policy_error(self, server):
+        url, replies, _ = server
+        replies.append((500, b"boom"))
+        with pytest.raises(PolicyError, match="500"):
+            external_policy(url, timeout=10)(fjsp_context())
+
+    def test_closed_port_is_policy_error(self, monkeypatch):
+        monkeypatch.setenv("no_proxy", "*")
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with pytest.raises(PolicyError, match="failed"):
+            external_policy(f"http://127.0.0.1:{port}/decide", timeout=10)(fjsp_context())
