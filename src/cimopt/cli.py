@@ -61,9 +61,18 @@ def _dump_json(doc, path: Path) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _parse_weights(text: str | None, names: tuple[str, ...], default: dict) -> dict:
+def _load_input(path: str | None, fixture: str, key: str, value: int | None):
+    """The document at ``path`` (default: a bundled fixture), with ``key`` set
+    to ``value`` when a flag gave one; the reader rejects a non-object."""
+    doc = _load_json(Path(path) if path else _fixture_path(fixture))
+    if value is not None and isinstance(doc, dict):
+        doc = {**doc, key: value}
+    return doc
+
+
+def _parse_weights(text: str | None, names: tuple[str, ...], default: tuple[float, ...]) -> dict:
     if text is None:
-        return dict(default)
+        return dict(zip(names, default))
     parts = text.split(",")
     if len(parts) != len(names):
         raise ValueError(
@@ -75,9 +84,12 @@ def _parse_weights(text: str | None, names: tuple[str, ...], default: dict) -> d
         raise ValueError(f"--weights: {exc}") from exc
 
 
-def _make_policy(selector: str, kind: str, timeout: float):
+def _make_policy(selector: str, task, timeout: float):
     if selector == "rule":
-        return rule_policy_fjsp if kind == "fjsp" else rule_policy_peptide
+        if task.kind == "fjsp":
+            return rule_policy_fjsp
+        # the count encoding has no iterative rule policy; single build+solve
+        return rule_policy_peptide if task.encoding == "onehot" else single_shot_policy
     if selector.startswith("external:"):
         return external_policy(selector[len("external:") :], timeout=timeout)
     raise ValueError(f"--policy must be 'rule' or 'external:<cmd-or-url>', got {selector!r}")
@@ -97,177 +109,124 @@ def _solver_config(args) -> SolverConfig:
     )
 
 
-def _write_common(outdir: Path, result_doc: dict, records, deterministic: bool, started: float, elapsed_ms: float):
+def _tune(args, started: float, task, default_weights: tuple[float, ...], describe) -> int:
+    """Tune ``task``; write result.json, iterations.jsonl and any quant report
+    under --out; print a summary; return the exit code.
+
+    ``describe(report, outdir)`` returns the task's own result.json fields and
+    the summary line, and writes the task's other files.
+    """
+    weights = _parse_weights(args.weights, task.weight_names, default_weights)
+    policy = _make_policy(args.policy, task, args.policy_timeout)
+    report = run_tuning(
+        task,
+        weights,
+        policy,
+        solver_config=_solver_config(args),
+        max_iter=args.iterations,
+    )
+
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if not deterministic:
-        result_doc["timing"] = {"started_utc": started, "elapsed_ms": elapsed_ms}
+    fields, summary = describe(report, outdir)
+    result_doc = {
+        "v": 1,
+        "kind": task.kind,
+        "seed": args.seed,
+        "weights_initial": weights,
+        "iterations_run": report.iterations_run,
+        "stop_reason": report.stop_reason,
+        **fields,
+    }
+    if args.quantize and report.records:
+        quant = report.records[-1].solve_meta.get("quant_report")
+        if quant is not None:
+            _dump_json(quant, outdir / "quant_report.json")
+            result_doc["quant_report"] = quant
+    if not args.deterministic_output:
+        result_doc["timing"] = {"started_utc": started, "elapsed_ms": (time.time() - started) * 1000.0}
     _dump_json(result_doc, outdir / "result.json")
     with open(outdir / "iterations.jsonl", "w") as fh:
-        for record in records:
+        for record in report.records:
             fh.write(
                 json.dumps(
-                    record_to_doc(record, include_timestamps=not deterministic),
+                    record_to_doc(record, include_timestamps=not args.deterministic_output),
                     sort_keys=True,
                     separators=(",", ":"),
                 )
                 + "\n"
             )
 
+    print(summary)
+    return EXIT_OK if report.feasible else EXIT_INFEASIBLE
+
 
 def cmd_fjsp(args) -> int:
     started = time.time()
-    path = Path(args.instance) if args.instance else _fixture_path("fjsp_3x3.json")
-    doc = _load_json(path)
-    if args.t_max is not None:
-        doc = dict(doc)
-        doc["t_max"] = args.t_max
-    instance = fjsp.instance_from_doc(doc)
-    weights = _parse_weights(
-        args.weights,
-        ("alpha", "beta", "gamma", "delta"),
-        {"alpha": 150.0, "beta": 100.0, "gamma": 100.0, "delta": 15.0},
-    )
+    instance = fjsp.instance_from_doc(_load_input(args.instance, "fjsp_3x3.json", "t_max", args.t_max))
     task = FjspTask(instance, h3_mode=args.h3, quantize=args.quantize)
-    policy = _make_policy(args.policy, "fjsp", args.policy_timeout)
-    report = run_tuning(
-        task,
-        weights,
-        policy,
-        solver_config=_solver_config(args),
-        max_iter=args.iterations,
-    )
 
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    result_doc = {
-        "v": 1,
-        "kind": "fjsp",
-        "problem_label": args.problem_label,
-        "instance": fjsp.instance_to_doc(instance),
-        "seed": args.seed,
-        "h3_mode": args.h3,
-        "weights_initial": weights,
-        "iterations_run": report.iterations_run,
-        "stop_reason": report.stop_reason,
-        "incumbent": {
-            "feasible": report.feasible,
-            "makespan": report.incumbent_metric,
-            "weights": report.incumbent_weights,
-            "schedule": (report.incumbent_payload or {}).get("schedule"),
-        },
-        "final_diagnostics": report.final_diagnostics,
-    }
-    if args.quantize and report.records:
-        quant = report.records[-1].solve_meta.get("quant_report")
-        if quant is not None:
-            _dump_json(quant, outdir / "quant_report.json")
-            result_doc["quant_report"] = quant
+    def describe(report, outdir):
+        # chart the incumbent when there is one, otherwise an empty chart
+        schedule_doc = (report.incumbent_payload or {}).get("schedule")
+        if schedule_doc:
+            schedule = fjsp.schedule_from_doc(instance, schedule_doc)
+        else:
+            schedule = fjsp.Schedule(())
+        (outdir / "gantt.txt").write_text(gantt.gantt_text(instance, schedule))
+        (outdir / "gantt.svg").write_text(gantt.gantt_svg(instance, schedule))
+        fields = {
+            "problem_label": args.problem_label,
+            "instance": fjsp.instance_to_doc(instance),
+            "h3_mode": args.h3,
+            "incumbent": {
+                "feasible": report.feasible,
+                "makespan": report.incumbent_metric,
+                "weights": report.incumbent_weights,
+                "schedule": schedule_doc,
+            },
+            "final_diagnostics": report.final_diagnostics,
+        }
+        if report.feasible:
+            return fields, f"makespan {int(report.incumbent_metric)} with weights {report.incumbent_weights}"
+        return fields, "no feasible schedule found"
 
-    # chart the incumbent when there is one, otherwise the best decode we saw
-    schedule_doc = (report.incumbent_payload or {}).get("schedule")
-    if schedule_doc:
-        schedule = fjsp.schedule_from_doc(instance, schedule_doc)
-    else:
-        schedule = fjsp.Schedule(())
-    _write_common(
-        outdir,
-        result_doc,
-        report.records,
-        args.deterministic_output,
-        started,
-        (time.time() - started) * 1000.0,
-    )
-    (outdir / "gantt.txt").write_text(gantt.gantt_text(instance, schedule))
-    (outdir / "gantt.svg").write_text(gantt.gantt_svg(instance, schedule))
-
-    if report.feasible:
-        print(f"makespan {int(report.incumbent_metric)} with weights {report.incumbent_weights}")
-        return EXIT_OK
-    print("no feasible schedule found")
-    return EXIT_INFEASIBLE
+    return _tune(args, started, task, (150.0, 100.0, 100.0, 15.0), describe)
 
 
 def cmd_peptide(args) -> int:
     started = time.time()
-    path = Path(args.problem) if args.problem else _fixture_path("lacrp4.json")
-    doc = _load_json(path)
-    if args.positions is not None:
-        doc = dict(doc)
-        doc["positions"] = args.positions
-    problem = peptide.problem_from_doc(doc)
-
-    if args.encoding == "onehot":
-        weights = _parse_weights(
-            args.weights, ("lambda_pos", "lambda_mass"), {"lambda_pos": 1.0, "lambda_mass": 1.0}
-        )
-        policy = _make_policy(args.policy, "peptide", args.policy_timeout)
-    else:
-        weights = _parse_weights(
-            args.weights, ("mass_weight", "length_weight"), {"mass_weight": 1.0, "length_weight": 1.0}
-        )
-        # the count encoding has no iterative rule policy; single build+solve
-        policy = single_shot_policy if args.policy == "rule" else _make_policy(
-            args.policy, "peptide", args.policy_timeout
-        )
+    problem = peptide.problem_from_doc(_load_input(args.problem, "lacrp4.json", "positions", args.positions))
     task = PeptideTask(problem, encoding=args.encoding, quantize=args.quantize)
-    report = run_tuning(
-        task,
-        weights,
-        policy,
-        solver_config=_solver_config(args),
-        max_iter=args.iterations,
-    )
 
-    q = task.build(weights)
-    stats = qubo.coefficient_stats(q, near_zero_threshold=1e-4)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    result_doc = {
-        "v": 1,
-        "kind": "peptide",
-        "problem_label": args.problem_label or problem.label,
-        "encoding": args.encoding,
-        "seed": args.seed,
-        "positions": problem.positions,
-        "calibrated_mass": problem.calibrated_mass,
-        "mass_table": problem.table,
-        "weights_initial": weights,
-        "iterations_run": report.iterations_run,
-        "stop_reason": report.stop_reason,
-        "population": report.final_diagnostics,
-        "best": {
-            "feasible": report.feasible,
-            "deviation_da": report.incumbent_metric,
-            "weights": report.incumbent_weights,
-            "composition": (report.incumbent_payload or {}).get("composition"),
-        },
-        "coefficient_stats": {
-            "max_abs": stats.max_abs,
-            "min_nonzero_abs": stats.min_nonzero_abs,
-            "dynamic_range_orders": stats.dynamic_range_orders,
-            "near_zero_fraction": stats.near_zero_fraction,
-            "threshold": stats.threshold,
-        },
-    }
-    if args.quantize and report.records:
-        quant = report.records[-1].solve_meta.get("quant_report")
-        if quant is not None:
-            _dump_json(quant, outdir / "quant_report.json")
-            result_doc["quant_report"] = quant
-    _write_common(
-        outdir,
-        result_doc,
-        report.records,
-        args.deterministic_output,
-        started,
-        (time.time() - started) * 1000.0,
-    )
+    def describe(report, outdir):
+        stats = qubo.coefficient_stats(task.build(report.records[0].weights), near_zero_threshold=1e-4)
+        fields = {
+            "problem_label": args.problem_label or problem.label,
+            "encoding": args.encoding,
+            "positions": problem.positions,
+            "calibrated_mass": problem.calibrated_mass,
+            "mass_table": problem.table,
+            "population": report.final_diagnostics,
+            "best": {
+                "feasible": report.feasible,
+                "deviation_da": report.incumbent_metric,
+                "weights": report.incumbent_weights,
+                "composition": (report.incumbent_payload or {}).get("composition"),
+            },
+            "coefficient_stats": {
+                "max_abs": stats.max_abs,
+                "min_nonzero_abs": stats.min_nonzero_abs,
+                "dynamic_range_orders": stats.dynamic_range_orders,
+                "near_zero_fraction": stats.near_zero_fraction,
+                "threshold": stats.threshold,
+            },
+        }
+        if report.feasible:
+            return fields, f"best deviation {report.incumbent_metric:.4f} Da over {report.iterations_run} iteration(s)"
+        return fields, "no violation-free composition found"
 
-    if report.feasible:
-        print(f"best deviation {report.incumbent_metric:.4f} Da over {report.iterations_run} iteration(s)")
-        return EXIT_OK
-    print("no violation-free composition found")
-    return EXIT_INFEASIBLE
+    return _tune(args, started, task, (1.0, 1.0), describe)
 
 
 def _load_model(path: str):
@@ -309,12 +268,7 @@ def cmd_qubo(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    path = Path(args.instance) if args.instance else _fixture_path("fjsp_3x3.json")
-    doc = _load_json(path)
-    if args.t_max is not None:
-        doc = dict(doc)
-        doc["t_max"] = args.t_max
-    instance = fjsp.instance_from_doc(doc)
+    instance = fjsp.instance_from_doc(_load_input(args.instance, "fjsp_3x3.json", "t_max", args.t_max))
     optimum = fjsp.exact_min_makespan(instance, node_budget=args.budget)
     print(optimum)
     return EXIT_OK

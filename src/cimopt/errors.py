@@ -1,4 +1,12 @@
-"""Exception types and the input type check shared across the toolkit."""
+"""Exception types and the input checks shared across the toolkit.
+
+``require_type`` checks the scalars of a document; ``require_weights`` is
+the one check of a weight map, for model weights and tuning weights alike.
+"""
+
+import math
+from numbers import Real
+from typing import Mapping, Sequence
 
 
 class DimensionError(ValueError):
@@ -56,3 +64,32 @@ def require_type(values, types: tuple[type, ...], what: str) -> list:
         names = " or ".join(t.__name__ for t in types)
         raise ValueError(f"{what} must be {names}, got {bad!r}")
     return values
+
+
+def require_weights(weights, names: Sequence[str] = (), positive: bool = True) -> dict[str, float]:
+    """The weights as a dict of floats, after the one check of a weight map.
+
+    Every name in ``names`` must be present, and every value must be a finite
+    real number (never a ``bool``, a string, or an integer beyond float
+    range). Tuning weights (``positive``) must be > 0; model weights may be
+    0, so single Hamiltonian terms can be built and inspected.
+    """
+    if not isinstance(weights, Mapping):
+        raise ValueError(f"weights must be an object, got {weights!r}")
+    for name in names:
+        if name not in weights:
+            raise ValueError(f"weights are missing {name!r}")
+    checked = {}
+    for name, value in weights.items():
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"weight {name!r} must be a real number, got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"weight {name!r} is out of range") from None
+        if not math.isfinite(value):
+            raise ValueError(f"weight {name!r} must be finite, got {value!r}")
+        if value < 0 or (positive and value == 0):
+            raise ValueError(f"{'non-positive' if positive else 'negative'} weight {name!r}: {value!r}")
+        checked[name] = value
+    return checked

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionError, InfeasibleHorizonError, require_type
+from .errors import BudgetExceededError, DimensionError, InfeasibleHorizonError, require_type, require_weights
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -134,9 +134,7 @@ class FjspWeights:
     delta: float
 
     def __post_init__(self):
-        for name, value in self.as_dict().items():
-            if not math.isfinite(value) or value < 0:
-                raise ValueError(f"weight {name} must be finite and >= 0, got {value!r}")
+        require_weights(self.as_dict(), positive=False)
 
     def as_dict(self) -> dict[str, float]:
         return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma, "delta": self.delta}
@@ -146,9 +144,7 @@ class FjspWeights:
         return cls(weights["alpha"], weights["beta"], weights["gamma"], weights["delta"])
 
     def require_positive(self) -> "FjspWeights":
-        for name, value in self.as_dict().items():
-            if not value > 0:
-                raise ValueError(f"weight {name} must be > 0 for tuning, got {value!r}")
+        require_weights(self.as_dict())
         return self
 
 
@@ -585,6 +581,8 @@ def instance_to_doc(inst: FjspInstance) -> dict:
 
 
 def instance_from_doc(doc: Mapping) -> FjspInstance:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"instance document must be a JSON object, got {type(doc).__name__}")
     for fieldname in ("machines", "t_max", "jobs"):
         if fieldname not in doc:
             raise ValueError(f"instance document is missing field {fieldname!r}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .errors import DimensionError, require_type
+from .errors import DimensionError, require_type, require_weights
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -185,8 +185,7 @@ class PeptideWeights:
     lambda_mass: float
 
     def __post_init__(self):
-        if self.lambda_pos < 0 or self.lambda_mass < 0:
-            raise ValueError("penalty weights must be >= 0")
+        require_weights(self.as_dict(), positive=False)
 
     def as_dict(self) -> dict[str, float]:
         return {"lambda_pos": self.lambda_pos, "lambda_mass": self.lambda_mass}
@@ -208,8 +207,7 @@ class CountEncodingConfig:
     def __post_init__(self):
         if not 1 <= self.bits_per_acid <= 8:
             raise ValueError(f"bits_per_acid must be in [1, 8], got {self.bits_per_acid}")
-        if self.mass_weight < 0 or self.length_weight < 0:
-            raise ValueError("mass_weight and length_weight must be >= 0")
+        require_weights({"mass_weight": self.mass_weight, "length_weight": self.length_weight}, positive=False)
 
 
 def build_onehot_qubo(

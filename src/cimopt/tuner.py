@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .errors import PolicyError, require_type
+from .errors import PolicyError, require_type, require_weights
 from .fjsp import (
     FjspInstance,
     FjspWeights,
@@ -74,7 +74,11 @@ _EPS = 1e-12
 
 @dataclass(frozen=True)
 class PolicyDecision:
-    """Either stop, or adjust to new_weights; always carries a rationale."""
+    """Either stop, or adjust to new_weights; always carries a rationale.
+
+    This is the one check of a decision, in-process or from the wire; the
+    weights pass ``require_weights`` and are kept as floats.
+    """
 
     action: str
     new_weights: dict[str, float] | None = None
@@ -83,11 +87,15 @@ class PolicyDecision:
 
     def __post_init__(self):
         if self.action not in ("adjust", "stop"):
-            raise ValueError(f"unknown action {self.action!r}")
+            raise ValueError(f"decision action must be 'adjust' or 'stop', got {self.action!r}")
         if self.confidence not in CONFIDENCE_LEVELS:
-            raise ValueError(f"unknown confidence {self.confidence!r}")
+            raise ValueError(f"decision confidence must be one of {CONFIDENCE_LEVELS}, got {self.confidence!r}")
+        if not isinstance(self.rationale, str):
+            raise ValueError(f"decision rationale must be a string, got {self.rationale!r}")
         if self.action == "adjust" and not self.new_weights:
-            raise ValueError("adjust decisions must carry new weights")
+            raise ValueError("adjust decision is missing its weights")
+        if self.new_weights is not None:
+            object.__setattr__(self, "new_weights", require_weights(self.new_weights))
 
     def to_doc(self) -> dict:
         doc = {
@@ -135,27 +143,32 @@ class TunerMemory:
     """Tried weight maps, the incumbent best, and a bounded history.
 
     ``tried`` keeps every recorded map (as sorted item tuples), so ``seen``
-    answers for the whole run; ``weight_history`` keeps only the last
-    ``max_history`` of them.
+    answers for the whole run; ``history`` keeps only the last
+    ``max_history`` trials, as ``{"weights", "metric"}`` entries, and is what
+    policies see as ``PolicyContext.history``.
     """
 
     max_history: int = 20
-    weight_history: list[dict[str, float]] = field(default_factory=list)
+    history: list[dict] = field(default_factory=list)
     best_metric: float | None = None
     best_weights: dict[str, float] | None = None
     tried: set[tuple[tuple[str, float], ...]] = field(default_factory=set)
 
+    @property
+    def weight_history(self) -> list[dict[str, float]]:
+        return [entry["weights"] for entry in self.history]
+
     def seen(self, weights: Mapping[str, float]) -> bool:
         return tuple(sorted(weights.items())) in self.tried
 
-    def record_trial(self, weights: Mapping[str, float]) -> None:
+    def record_trial(self, weights: Mapping[str, float], metric: float | None = None) -> None:
         key = tuple(sorted(weights.items()))
         if key in self.tried:
             return
         self.tried.add(key)
-        self.weight_history.append(dict(weights))
-        if len(self.weight_history) > self.max_history:
-            del self.weight_history[0 : len(self.weight_history) - self.max_history]
+        self.history.append({"weights": dict(weights), "metric": metric})
+        if len(self.history) > self.max_history:
+            del self.history[0 : len(self.history) - self.max_history]
 
     def update_best(self, metric: float, weights: Mapping[str, float]) -> bool:
         if self.best_metric is None or metric < self.best_metric:
@@ -198,9 +211,10 @@ def record_from_doc(doc: Mapping) -> IterationRecord:
     if doc.get("decision") is not None:
         decision = parse_policy_decision(doc["decision"], required_names=())
     stamps = doc.get("timestamps") or {}
+    (iteration,) = require_type([doc["iteration"]], (int,), "iteration")
     return IterationRecord(
-        iteration=int(doc["iteration"]),
-        weights=dict(doc["weights"]),
+        iteration=iteration,
+        weights=require_weights(doc["weights"]),
         solve_meta=dict(doc["solve_meta"]),
         diagnostics=dict(doc["diagnostics"]),
         decision=decision,
@@ -234,9 +248,7 @@ class FjspTask:
         self.index: VariableIndex = prune_variables(instance)
 
     def build(self, weights: Mapping[str, float]):
-        return build_qubo(
-            self.instance, FjspWeights.from_dict(weights).require_positive(), self.index, self.h3_mode
-        )
+        return build_qubo(self.instance, FjspWeights.from_dict(weights), self.index, self.h3_mode)
 
     def evaluate(self, result: SolveResult) -> Evaluation:
         summary = []
@@ -390,18 +402,6 @@ class TuningReport:
         return self.incumbent_metric is not None
 
 
-def _validated_weights(task, weights: Mapping[str, float]) -> dict[str, float]:
-    out = {}
-    for name in task.weight_names:
-        if name not in weights:
-            raise ValueError(f"weights are missing {name!r}")
-        value = float(weights[name])
-        if not math.isfinite(value) or value <= 0:
-            raise ValueError(f"weight {name!r} must be finite and > 0, got {value!r}")
-        out[name] = value
-    return out
-
-
 def run_tuning(
     task,
     initial_weights: Mapping[str, float],
@@ -420,28 +420,30 @@ def run_tuning(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     solver_config = solver_config or SolverConfig()
-    weights = _validated_weights(task, initial_weights)
     memory = TunerMemory(max_history=max_history)
     records: list[IterationRecord] = []
-    trial_log: list[dict] = []
     incumbent_payload = None
     stop_reason = "max_iterations"
     evaluation = None
+    weights = initial_weights
 
     for iteration in range(1, max_iter + 1):
+        # the initial map or the policy's proposal; only the task's names are kept
+        checked = require_weights(weights, task.weight_names)
+        weights = {name: checked[name] for name in task.weight_names}
+        if memory.seen(weights):
+            stop_reason = "duplicate_weights"
+            break
         started = time.time()
         q = task.build(weights)
-        if getattr(task, "quantize", False):
+        if task.quantize:
             result = solve_quantized(q, solver_config)
         else:
             result = solve_annealed(q, solver_config)
         evaluation = task.evaluate(result)
-        memory.record_trial(weights)
+        memory.record_trial(weights, evaluation.metric)
         if evaluation.feasible and memory.update_best(evaluation.metric, weights):
             incumbent_payload = evaluation.payload
-        trial_log.append({"weights": dict(weights), "metric": evaluation.metric})
-        if len(trial_log) > max_history:
-            del trial_log[0 : len(trial_log) - max_history]
 
         context = PolicyContext(
             iteration=iteration,
@@ -449,7 +451,7 @@ def run_tuning(
             current_weights=dict(weights),
             solve_summary=evaluation.solve_summary,
             diagnostics=evaluation.diagnostics,
-            history=[dict(entry) for entry in trial_log],
+            history=[{"weights": dict(e["weights"]), "metric": e["metric"]} for e in memory.history],
             incumbent=(
                 None
                 if memory.best_metric is None
@@ -475,14 +477,7 @@ def run_tuning(
         if decision.action == "stop":
             stop_reason = "policy_stop"
             break
-        if iteration == max_iter:
-            stop_reason = "max_iterations"
-            break
-        proposed = _validated_weights(task, decision.new_weights)
-        if memory.seen(proposed):
-            stop_reason = "duplicate_weights"
-            break
-        weights = proposed
+        weights = decision.new_weights
 
     return TuningReport(
         stop_reason=stop_reason,
@@ -645,7 +640,12 @@ def single_shot_policy(ctx: PolicyContext) -> PolicyDecision:
 
 
 def parse_policy_decision(doc, required_names: Sequence[str]) -> PolicyDecision:
-    """Validate a decision document from the wire; raise PolicyError."""
+    """Read a decision document from the wire; raise PolicyError.
+
+    The wire steps are checked here: JSON, an object, the version, and the
+    weight names the loop needs. The decision itself is checked by
+    PolicyDecision. Weights sent with a stop are ignored.
+    """
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
@@ -655,37 +655,14 @@ def parse_policy_decision(doc, required_names: Sequence[str]) -> PolicyDecision:
         raise PolicyError(f"policy response is not an object: {doc!r}")
     if "v" in doc and doc["v"] != WIRE_VERSION:
         raise PolicyError(f"unsupported policy wire version {doc['v']!r}")
-    action = doc.get("action")
-    if action not in ("adjust", "stop"):
-        raise PolicyError(f"policy action must be 'adjust' or 'stop', got {action!r}")
-    confidence = doc.get("confidence", "medium")
-    if confidence not in CONFIDENCE_LEVELS:
-        raise PolicyError(f"policy confidence must be one of {CONFIDENCE_LEVELS}, got {confidence!r}")
-    rationale = doc.get("rationale", "")
-    if not isinstance(rationale, str):
-        raise PolicyError("policy rationale must be a string")
-    weights = None
-    if action == "adjust":
-        weights = doc.get("weights")
-        if not isinstance(weights, Mapping):
-            raise PolicyError("adjust decision is missing its weights object")
-        for name in required_names:
-            if name not in weights:
-                raise PolicyError(f"policy weights are missing {name!r}")
-        clean = {}
-        for name, value in weights.items():
-            try:
-                require_type([value], (int, float), f"weight {name!r}")
-                value = float(value)
-            except ValueError as exc:
-                raise PolicyError(str(exc)) from exc
-            except OverflowError as exc:
-                raise PolicyError(f"weight {name!r} is out of range") from exc
-            if not math.isfinite(value) or value <= 0:
-                raise PolicyError(f"non-positive weight {name!r}: {value!r}")
-            clean[name] = value
-        weights = clean
-    return PolicyDecision(action, weights, rationale, confidence)
+    weights = doc.get("weights") if doc.get("action") == "adjust" else None
+    try:
+        decision = PolicyDecision(doc.get("action"), weights, doc.get("rationale", ""), doc.get("confidence", "medium"))
+        if decision.new_weights is not None:
+            require_weights(decision.new_weights, required_names)
+    except ValueError as exc:
+        raise PolicyError(str(exc)) from exc
+    return decision
 
 
 def external_policy(endpoint: str, timeout: float = 30.0) -> Callable[[PolicyContext], PolicyDecision]:

@@ -277,6 +277,26 @@ class TestInstanceDocumentRejection:
         err = capsys.readouterr().err
         assert "must be int, got 0.9" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "--instance"],
+            ["oracle", "-t", "5", "--instance"],
+            ["fjsp", "-t", "5", "--instance"],
+            ["peptide", "--positions", "3", "--problem"],
+        ],
+    )
+    @pytest.mark.parametrize("doc", [[1, 2], 5])
+    def test_non_object_document_rejected(self, tmp_path, capsys, monkeypatch, argv, doc):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        rc = main([*argv, str(path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "must be a JSON object" in captured.err and "Traceback" not in captured.err
+        assert not (tmp_path / "out").exists()
+
 
 
 class TestProblemDocumentRejection:

@@ -155,6 +155,21 @@ class TestOneHotBuilder:
         with pytest.raises(ValueError):
             PeptideWeights(1.0, -0.5)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PeptideWeights(float("nan"), 1),
+            lambda: PeptideWeights(float("inf"), 1),
+            lambda: CountEncodingConfig(mass_weight=float("nan")),
+            lambda: PeptideWeights("1", 1),
+            lambda: CountEncodingConfig(length_weight=True),
+        ],
+    )
+    def test_non_finite_or_non_numeric_weight_rejected(self, build):
+        # a NaN lambda_pos used to pass the >= 0 guard and drop the one-hot term
+        with pytest.raises(ValueError, match="weight '"):
+            build()
+
 
 class TestGroundTruthRecovery:
     def test_exact_pair_recovered_with_dominant_onehot(self):

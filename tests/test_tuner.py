@@ -2,11 +2,14 @@
 
 import http.server
 import json
+import math
 import socket
 import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimopt.errors import PolicyError
 from cimopt.peptide import make_problem
@@ -305,6 +308,12 @@ class TestRunTuning:
         with pytest.raises(ValueError):
             run_tuning(task, dict(WEIGHTS0, gamma=0.0), rule_policy_fjsp, FAST, max_iter=1)
 
+    @pytest.mark.parametrize("value", [True, "1.5"])
+    def test_rejects_coerced_initial_weights(self, table1, value):
+        task = FjspTask(table1)
+        with pytest.raises(ValueError, match="'gamma'"):
+            run_tuning(task, dict(WEIGHTS0, gamma=value), rule_policy_fjsp, FAST, max_iter=1)
+
     def test_single_shot_policy(self, table1):
         task = FjspTask(table1)
         report = run_tuning(task, WEIGHTS0, single_shot_policy, FAST, max_iter=5)
@@ -356,6 +365,67 @@ class TestDecisionParsing:
         decision = parse_policy_decision('{"action": "adjust", "weights": {"gamma": 150}}', required_names=("gamma",))
         assert decision.new_weights == {"gamma": 150.0}
         assert type(decision.new_weights["gamma"]) is float
+
+    def test_empty_weights_is_policy_error(self):
+        with pytest.raises(PolicyError, match="missing"):
+            parse_policy_decision('{"action": "adjust", "weights": {}}', required_names=())
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"new_weights": {"gamma": -3.0}},
+            {"new_weights": {"gamma": "220"}},
+            {"new_weights": {"gamma": 3.0, "x": "abc"}},
+            {"new_weights": {"gamma": 3.0}, "rationale": 7},
+        ],
+    )
+    def test_in_process_decision_checked_like_a_reply(self, kwargs):
+        with pytest.raises(ValueError):
+            PolicyDecision("adjust", **kwargs)
+
+
+def record_doc(**change):
+    return {"v": 1, "iteration": 2, "weights": {"a": 1.0}, "solve_meta": {}, "diagnostics": {}, "decision": None, **change}
+
+
+# every kind of weight value a reader must reject rather than coerce
+MALFORMED_WEIGHTS = st.one_of(
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.floats(min_value=1.0, max_value=9.0), max_size=2),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.integers(max_value=0),
+    st.integers(min_value=10**399, max_value=10**400),
+    st.sampled_from([math.nan, math.inf]),
+)
+WEIGHT_NAMES = st.sampled_from(["alpha", "gamma", "lambda_pos", "mass_weight"])
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("change, message", [({"iteration": 2.7}, "iteration must be int"), ({"weights": {"a": "x"}}, "'a'")])
+    def test_record_rejects_coerced_field(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            record_from_doc(record_doc(**change))
+
+    @given(name=WEIGHT_NAMES, value=MALFORMED_WEIGHTS)
+    @settings(max_examples=150, deadline=None)
+    def test_policy_reply_rejects(self, name, value):
+        doc = json.loads('{"action": "adjust", "weights": {"delta": 15.0}}')
+        doc["weights"][name] = value  # after parsing, so NaN and inf are reachable too
+        with pytest.raises(PolicyError, match=f"'{name}'"):
+            parse_policy_decision(doc, required_names=(name,))
+
+    @given(name=WEIGHT_NAMES, value=MALFORMED_WEIGHTS, in_decision=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_iteration_record_rejects(self, name, value, in_decision):
+        weights = {name: value}
+        if in_decision:
+            doc = record_doc(decision={"action": "adjust", "weights": weights})
+        else:
+            doc = record_doc(weights=weights)
+        with pytest.raises((PolicyError, ValueError), match=f"'{name}'"):
+            record_from_doc(doc)
 
 
 PY = sys.executable
