@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from importlib import resources
@@ -85,6 +86,8 @@ def _parse_weights(text: str | None, names: tuple[str, ...], default: tuple[floa
 
 
 def _make_policy(selector: str, task, timeout: float):
+    if not (math.isfinite(timeout) and timeout > 0):  # whatever the policy, so a bad flag never passes unseen
+        raise ValueError(f"--policy-timeout must be a finite number > 0, got {timeout}")
     if selector == "rule":
         if task.kind == "fjsp":
             return rule_policy_fjsp
@@ -231,7 +234,7 @@ def cmd_peptide(args) -> int:
 
 def _load_model(path: str):
     doc = _load_json(path)
-    if "convention" in doc:
+    if isinstance(doc, dict) and "convention" in doc:
         return qubo.ising_from_doc(doc)
     return qubo.qubo_from_doc(doc)
 

@@ -501,6 +501,8 @@ def exact_min_makespan(inst: FjspInstance, node_budget: int = 5_000_000) -> int:
     Raises BudgetExceededError with the incumbent and the root bound when
     the node budget runs out.
     """
+    if node_budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {node_budget}")
     n_jobs = len(inst.jobs)
     op_counts = [len(job.operations) for job in inst.jobs]
     # remaining minimum work for job j from operation h onward

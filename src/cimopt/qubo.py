@@ -484,6 +484,8 @@ def qubo_to_doc(q: QuboMatrix) -> dict:
 
 
 def qubo_from_doc(doc: Mapping) -> QuboMatrix:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"QUBO document must be a JSON object, got {type(doc).__name__}")
     try:
         fields = _terms_from_doc(doc)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -496,6 +498,8 @@ def ising_to_doc(m: IsingModel) -> dict:
 
 
 def ising_from_doc(doc: Mapping) -> IsingModel:
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"Ising document must be a JSON object, got {type(doc).__name__}")
     try:
         fields = _terms_from_doc(doc)
         convention = IsingConvention(doc["convention"])

@@ -27,6 +27,7 @@ from .fjsp import (
     build_qubo,
     decode_schedule,
     prune_variables,
+    schedule_to_doc,
 )
 from .peptide import (
     CountEncodingConfig,
@@ -270,13 +271,7 @@ class FjspTask:
             summary.append(entry)
             if diag.feasible and (best_metric is None or diag.makespan < best_metric):
                 best_metric = diag.makespan
-                best_payload = {
-                    "makespan": diag.makespan,
-                    "schedule": [
-                        {"job": e.job, "op": e.op, "machine": e.machine, "start": e.start, "end": e.end}
-                        for e in schedule.entries
-                    ],
-                }
+                best_payload = {"makespan": diag.makespan, "schedule": schedule_to_doc(schedule)}
         return Evaluation(
             diagnostics=rank0_diag.to_doc(),
             solve_summary=summary,
@@ -671,8 +666,11 @@ def external_policy(endpoint: str, timeout: float = 30.0) -> Callable[[PolicyCon
     ``endpoint`` is either an HTTP(S) URL (the context is POSTed as JSON)
     or a shell command (the context is written to stdin as one JSON line
     and the decision read from stdout). Timeouts, malformed JSON, schema
-    violations, and non-positive weights all raise PolicyError.
+    violations, and non-positive weights all raise PolicyError; a
+    ``timeout`` that is not a finite number > 0 raises ValueError.
     """
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ValueError(f"policy timeout must be a finite number > 0, got {timeout!r}")
     is_http = endpoint.startswith("http://") or endpoint.startswith("https://")
     argv = None if is_http else shlex.split(endpoint)
     if not is_http and not argv:

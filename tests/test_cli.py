@@ -105,6 +105,15 @@ class TestFjspCommand:
         assert doc["iterations_run"] == 1
         assert doc["stop_reason"] == "policy_stop"
 
+    @pytest.mark.parametrize("timeout", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("policy", ["rule", f"external:{PY} -c pass"], ids=["rule", "external"])
+    def test_non_positive_policy_timeout_rejected(self, tmp_path, capsys, timeout, policy):
+        rc = main(["fjsp", "--policy", policy, "--policy-timeout", timeout, "--out", str(tmp_path / "out"), *FAST])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"--policy-timeout must be a finite number > 0, got {float(timeout)}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_external_policy_fails(self, tmp_path, capsys):
         rc = main([
             "fjsp", "-i", "2",
@@ -240,6 +249,17 @@ class TestModelDocumentRejection:
         assert captured.out == ""
         assert not caught
 
+    @pytest.mark.parametrize("doc", ["5", "true", "null"])
+    @pytest.mark.parametrize("action", [["energy", "--bits", "01"], ["to-ising"], ["quantize"]], ids=lambda a: a[0])
+    def test_non_object_document_rejected(self, tmp_path, capsys, doc, action):
+        path = tmp_path / "model.json"
+        path.write_text(doc)
+        rc = main(["qubo", action[0], str(path), *action[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "must be a JSON object" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_ising_document_repeated_pair(self, tmp_path, capsys):
         path = tmp_path / "ising.json"
         doc = {"n": 2, "diag": [1.0, 2.0], "upper": [[0, 1, 0.5], [0, 1, 0.5]], "offset": 0.0, "convention": "positive_sum"}
@@ -343,3 +363,10 @@ class TestOracleCommand:
         rc = main(["oracle", "--budget", "3"])
         assert rc == 3
         assert "budget" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    def test_non_positive_budget_rejected(self, capsys, budget):
+        rc = main(["oracle", "--budget", budget])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert f"node budget must be >= 1, got {budget}" in captured.err and captured.out == ""

@@ -327,6 +327,11 @@ class TestExactOracle:
             exact_min_makespan(table1, node_budget=5)
         assert excinfo.value.bound == 9
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_non_positive_budget_rejected(self, table1, budget):
+        with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
+            exact_min_makespan(table1, node_budget=budget)
+
     def test_flexible_choice(self):
         inst = FjspInstance.build(2, 10, [[[4, 1]], [[1, 4]]])
         assert exact_min_makespan(inst) == 1

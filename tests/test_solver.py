@@ -96,6 +96,40 @@ class TestSolveExact:
         ]
         assert all(e == 1.5 for _, e in result.solutions)
 
+    @pytest.mark.parametrize("negated", [False, True])
+    def test_k_lowest_by_energy_then_spin_vector(self, negated):
+        # integer coefficients make every sum exact and force ties (all-zero
+        # models tie every state), so the solutions must equal the reference's
+        # k lowest by (energy, lexicographic spin vector) exactly
+        rng = np.random.default_rng(8)
+        for n in range(1, 17):
+            for scale in (2, 2, 0):
+                diag = rng.integers(-scale, scale + 1, n).astype(float)
+                upper = {(i, j): float(rng.integers(-scale, scale + 1)) for i in range(n) for j in range(i + 1, n)}
+                q = QuboMatrix(n, diag, upper, float(rng.integers(-scale, scale + 1)))
+                model = qubo_to_ising(q, IsingConvention.NEGATED_SUM) if negated else q
+                energies = enum_qubo_energies(q)
+                spins = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2 - 1  # spin i is bit i
+                order = np.lexsort([*spins.T[::-1], energies])
+                expected = [(tuple(spins[r].tolist()), float(energies[r])) for r in order[:10]]
+                for k in (1, 3, 10):
+                    result = solve_exact(model, top_k=k)
+                    assert list(result.solutions) == expected[:k], (n, scale, k)
+                    assert result.meta["states_enumerated"] == 2**n
+
+    def test_enumeration_memory_is_bounded(self):
+        # all 2**24 energies at once would take 128 MiB, and their
+        # construction several times that
+        q = random_model(np.random.default_rng(24), 24, density=0.6)
+        tracemalloc.start()
+        try:
+            result = solve_exact(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert result.meta["states_enumerated"] == 2**24
+
     def test_size_cap(self):
         q = QuboMatrix(25, (1.0,) * 25, {})
         with pytest.raises(BudgetExceededError):

@@ -480,6 +480,11 @@ class TestExternalPolicy:
         with pytest.raises(PolicyError, match="timed out"):
             run_tuning(task, WEIGHTS0, policy, FAST, max_iter=1)
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_timeout_must_be_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match=f"policy timeout must be a finite number > 0, got {timeout!r}"):
+            external_policy(f"{PY} -c \"pass\"", timeout=timeout)
+
     def test_empty_output(self, table1):
         policy = external_policy(f"{PY} -c \"pass\"")
         task = FjspTask(table1)
