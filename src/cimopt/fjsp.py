@@ -458,16 +458,24 @@ def decode_schedule(
     return _diagnose(inst, selected)
 
 
+def _processing_time(inst: FjspInstance, job: int, op: int, machine: int, start: int) -> int:
+    """The time of operation (job, op) on machine, after checking that the
+    operation exists, the machine is eligible for it and start >= 0."""
+    if not (0 <= job < len(inst.jobs) and 0 <= op < len(inst.jobs[job].operations) and 0 <= machine < inst.machines):
+        raise ValueError(f"schedule entry ({job}, {op}) on machine {machine} names no operation of the instance")
+    if start < 0:
+        raise ValueError(f"schedule entry ({job}, {op}) starts at {start}, before time 0")
+    p = inst.operation(job, op).times[machine]
+    if p is None:
+        raise ValueError(f"operation ({job}, {op}) is not eligible on machine {machine}")
+    return p
+
+
 def diagnose_schedule(inst: FjspInstance, schedule: Schedule) -> FjspDiagnostics:
     """Validate an explicit schedule against the instance rule set."""
     selected: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for entry in schedule.entries:
-        op = inst.operation(entry.job, entry.op)
-        p = op.times[entry.machine]
-        if p is None:
-            raise ValueError(
-                f"operation ({entry.job}, {entry.op}) is not eligible on machine {entry.machine}"
-            )
+        p = _processing_time(inst, entry.job, entry.op, entry.machine, entry.start)
         if entry.end != entry.start + p:
             raise ValueError(
                 f"operation ({entry.job}, {entry.op}) spans [{entry.start}, {entry.end}) "
@@ -606,13 +614,18 @@ def schedule_to_doc(schedule: Schedule) -> list[dict]:
 
 
 def schedule_from_doc(inst: FjspInstance, doc) -> Schedule:
-    entries = doc["entries"] if isinstance(doc, Mapping) else doc
+    """Read a list of entries, or an object holding one under "entries";
+    a stated ``end`` is kept for ``diagnose_schedule`` to check."""
+    entries = doc.get("entries") if isinstance(doc, Mapping) else doc
+    if not isinstance(entries, list):
+        raise ValueError(f"schedule must be a list of entries, got {type(entries).__name__}")
     out = []
     for item in entries:
-        fields = ("job", "op", "machine", "start") + (("end",) if "end" in item else ())
+        fields = ("job", "op", "machine", "start")
+        if not isinstance(item, Mapping) or not all(f in item for f in fields):
+            raise ValueError(f"schedule entry {item!r} must be an object with fields {', '.join(fields)}")
+        fields += ("end",) if "end" in item else ()
         job, op, machine, start, *end = require_type((item[f] for f in fields), (int,), f"schedule entry {item}")
-        p = inst.operation(job, op).times[machine]
-        if p is None:
-            raise ValueError(f"schedule places ({job}, {op}) on ineligible machine {machine}")
+        p = _processing_time(inst, job, op, machine, start)
         out.append(ScheduleEntry(job, op, machine, start, end[0] if end else start + p))
     return Schedule(tuple(sorted(out, key=lambda e: (e.job, e.op))))

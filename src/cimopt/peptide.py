@@ -9,6 +9,7 @@ mass-deviation metrics over solution populations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -442,6 +443,8 @@ def problem_from_doc(doc: Mapping) -> PeptideProblem:
         target_mass = float(target_mass)
     except OverflowError:  # a JSON integer too large for a float
         raise ValueError("target_mass is out of range") from None
+    if not math.isfinite(target_mass):  # json reads NaN and Infinity
+        raise ValueError(f"target_mass must be finite, got {target_mass}")
     positions = doc.get("positions")
     if positions is not None:
         require_type([positions], (int,), "positions")

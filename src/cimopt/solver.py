@@ -88,8 +88,8 @@ class SolverConfig:
         if self.temp_initial is not None:
             if not (self.temp_initial >= self.temp_final > 0):
                 raise ValueError("need temp_initial >= temp_final > 0")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative 64-bit integer")
+        if not 0 <= self.seed <= _SEED_MASK:
+            raise ValueError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
 
 
 @dataclass(frozen=True)

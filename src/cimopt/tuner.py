@@ -2,11 +2,15 @@
 
 Each iteration builds the model under the current weights, solves it,
 decodes and scores the solutions, logs a record, and asks a decision policy
-whether to adjust or stop. Memory keeps the tried weight combinations (to
-halt on repeated proposals), the incumbent best feasible result, and a
-bounded trial history. Policies are plain callables from PolicyContext to
-PolicyDecision; rule policies live here, and external processes or HTTP
-endpoints can be attached over a one-line JSON protocol.
+whether to adjust or stop. A task builds one model (``build``), decodes one
+solution (``decode``) and gives a record's ``diagnostics``; ``run_tuning``
+does the rest. The incumbent is the best feasible result: the lowest metric
+among feasible solutions, ties going to the lowest rank, then to the earliest
+iteration. Memory keeps the tried weight combinations (to halt on repeated
+proposals), the incumbent, and a bounded trial history. Policies are plain
+callables from PolicyContext to PolicyDecision; rule policies live here, and
+external processes or HTTP endpoints can be attached over a one-line JSON
+protocol.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import shlex
 import subprocess
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .errors import PolicyError, require_type, require_weights
 from .fjsp import (
@@ -39,7 +43,7 @@ from .peptide import (
     decode_onehot,
     evaluate_population,
 )
-from .solver import SolverConfig, SolveResult, solve_annealed, solve_quantized
+from .solver import SolverConfig, solve_annealed, solve_quantized
 
 __all__ = [
     "PolicyContext",
@@ -224,15 +228,18 @@ def record_from_doc(doc: Mapping) -> IterationRecord:
     )
 
 
-@dataclass(frozen=True)
-class Evaluation:
-    """What one solve meant for the task: diagnostics plus incumbent data."""
+class Decoded(NamedTuple):
+    """One solution as its task reads it.
 
-    diagnostics: dict
-    solve_summary: list[dict]
-    feasible: bool
+    ``fields`` go into the solution's ``solve_summary`` row, ``metric`` is
+    None when the solution is infeasible, ``payload`` is what the incumbent
+    keeps, and ``raw`` is the decoder's result, for ``diagnostics``.
+    """
+
+    fields: dict
     metric: float | None
     payload: dict | None
+    raw: object
 
 
 class FjspTask:
@@ -251,34 +258,16 @@ class FjspTask:
     def build(self, weights: Mapping[str, float]):
         return build_qubo(self.instance, FjspWeights.from_dict(weights), self.index, self.h3_mode)
 
-    def evaluate(self, result: SolveResult) -> Evaluation:
-        summary = []
-        rank0_diag = None
-        best_metric = None
-        best_payload = None
-        for rank in range(len(result.solutions)):
-            bits = result.bits(rank)
-            schedule, diag = decode_schedule(self.instance, self.index, bits)
-            if rank == 0:
-                rank0_diag = diag
-            entry = {
-                "rank": rank,
-                "energy": result.solutions[rank][1],
-                "feasible": diag.feasible,
-                "makespan": diag.makespan,
-            }
-            entry.update(diag.counts())
-            summary.append(entry)
-            if diag.feasible and (best_metric is None or diag.makespan < best_metric):
-                best_metric = diag.makespan
-                best_payload = {"makespan": diag.makespan, "schedule": schedule_to_doc(schedule)}
-        return Evaluation(
-            diagnostics=rank0_diag.to_doc(),
-            solve_summary=summary,
-            feasible=best_metric is not None,
-            metric=None if best_metric is None else float(best_metric),
-            payload=best_payload,
-        )
+    def decode(self, bits) -> Decoded:
+        schedule, diag = decode_schedule(self.instance, self.index, bits)
+        fields = {"feasible": diag.feasible, "makespan": diag.makespan, **diag.counts()}
+        if not diag.feasible:
+            return Decoded(fields, None, None, diag)
+        payload = {"makespan": diag.makespan, "schedule": schedule_to_doc(schedule)}
+        return Decoded(fields, float(diag.makespan), payload, diag)
+
+    def diagnostics(self, decoded: Sequence[Decoded], best: Decoded | None) -> dict:
+        return decoded[0].raw.to_doc()
 
 
 class PeptideTask:
@@ -320,65 +309,26 @@ class PeptideTask:
         )
         return build_count_qubo(self.problem, cfg, self.acids)
 
-    def evaluate(self, result: SolveResult) -> Evaluation:
+    def decode(self, bits) -> Decoded:
+        """A one-hot solution is feasible when clean; a count solution always is."""
         if self.encoding == "onehot":
-            return self._evaluate_onehot(result)
-        return self._evaluate_count(result)
+            sol = decode_onehot(self.problem, bits, self.acids)
+            fields = {"clean": sol.clean, "deviation_da": sol.deviation_da, "violations": len(sol.onehot_violations)}
+            if not sol.clean:
+                return Decoded(fields, None, None, sol)
+        else:
+            sol = decode_count(self.problem, self.count_cfg, bits, self.acids)
+            fields = {"deviation_da": sol.deviation_da, "length": sol.length}
+        return Decoded(fields, sol.deviation_da, {"composition": sol.to_doc()}, sol)
 
-    def _evaluate_onehot(self, result: SolveResult) -> Evaluation:
-        solutions = [
-            decode_onehot(self.problem, result.bits(rank), self.acids)
-            for rank in range(len(result.solutions))
-        ]
-        metrics = evaluate_population(solutions)
-        summary = []
-        best = None
-        for rank, sol in enumerate(solutions):
-            summary.append(
-                {
-                    "rank": rank,
-                    "energy": result.solutions[rank][1],
-                    "clean": sol.clean,
-                    "deviation_da": sol.deviation_da,
-                    "violations": len(sol.onehot_violations),
-                }
-            )
-            if sol.clean and (best is None or sol.deviation_da < best.deviation_da):
-                best = sol
-        return Evaluation(
-            diagnostics=metrics.to_doc(),
-            solve_summary=summary,
-            feasible=best is not None,
-            metric=None if best is None else best.deviation_da,
-            payload=None if best is None else {"composition": best.to_doc()},
-        )
-
-    def _evaluate_count(self, result: SolveResult) -> Evaluation:
-        decoded = [
-            decode_count(self.problem, self.count_cfg, result.bits(rank), self.acids)
-            for rank in range(len(result.solutions))
-        ]
-        best = min(decoded, key=lambda d: d.deviation_da)
-        summary = [
-            {
-                "rank": rank,
-                "energy": result.solutions[rank][1],
-                "deviation_da": d.deviation_da,
-                "length": d.length,
-            }
-            for rank, d in enumerate(decoded)
-        ]
-        return Evaluation(
-            diagnostics={
-                "violation_rate": None,
-                "best_deviation_da": best.deviation_da,
-                "best_relative": best.relative_deviation,
-            },
-            solve_summary=summary,
-            feasible=True,
-            metric=best.deviation_da,
-            payload={"composition": best.to_doc()},
-        )
+    def diagnostics(self, decoded: Sequence[Decoded], best: Decoded | None) -> dict:
+        if self.encoding == "onehot":
+            return evaluate_population([d.raw for d in decoded]).to_doc()
+        return {
+            "violation_rate": None,
+            "best_deviation_da": best.raw.deviation_da,
+            "best_relative": best.raw.relative_deviation,
+        }
 
 
 @dataclass
@@ -405,7 +355,7 @@ def run_tuning(
     max_iter: int = 3,
     max_history: int = 20,
 ) -> TuningReport:
-    """Build -> solve -> evaluate -> record -> decide, until a stop.
+    """Build -> solve -> decode -> score -> record -> decide, until a stop.
 
     Terminates on a stop decision, on max_iter, or when the policy proposes
     a weight map that was already tried (the duplicate is not recorded).
@@ -419,7 +369,7 @@ def run_tuning(
     records: list[IterationRecord] = []
     incumbent_payload = None
     stop_reason = "max_iterations"
-    evaluation = None
+    diagnostics = {}
     weights = initial_weights
 
     for iteration in range(1, max_iter + 1):
@@ -435,17 +385,24 @@ def run_tuning(
             result = solve_quantized(q, solver_config)
         else:
             result = solve_annealed(q, solver_config)
-        evaluation = task.evaluate(result)
-        memory.record_trial(weights, evaluation.metric)
-        if evaluation.feasible and memory.update_best(evaluation.metric, weights):
-            incumbent_payload = evaluation.payload
+        decoded = [task.decode(result.bits(rank)) for rank in range(len(result.solutions))]
+        summary = [
+            {"rank": rank, "energy": energy, **d.fields}
+            for rank, ((_, energy), d) in enumerate(zip(result.solutions, decoded))
+        ]
+        # the incumbent rule; min keeps the first of equal metrics, the lowest rank
+        best = min((d for d in decoded if d.metric is not None), key=lambda d: d.metric, default=None)
+        diagnostics = task.diagnostics(decoded, best)
+        memory.record_trial(weights, None if best is None else best.metric)
+        if best is not None and memory.update_best(best.metric, weights):
+            incumbent_payload = best.payload
 
         context = PolicyContext(
             iteration=iteration,
             problem_kind=task.kind,
             current_weights=dict(weights),
-            solve_summary=evaluation.solve_summary,
-            diagnostics=evaluation.diagnostics,
+            solve_summary=summary,
+            diagnostics=diagnostics,
             history=[{"weights": dict(e["weights"]), "metric": e["metric"]} for e in memory.history],
             incumbent=(
                 None
@@ -462,7 +419,7 @@ def run_tuning(
             iteration=iteration,
             weights=dict(weights),
             solve_meta=dict(result.meta),
-            diagnostics=evaluation.diagnostics,
+            diagnostics=diagnostics,
             decision=decision,
             started_utc=started,
             elapsed_ms=(time.time() - started) * 1000.0,
@@ -482,7 +439,7 @@ def run_tuning(
         incumbent_metric=memory.best_metric,
         incumbent_weights=memory.best_weights,
         incumbent_payload=incumbent_payload,
-        final_diagnostics=evaluation.diagnostics if evaluation else {},
+        final_diagnostics=diagnostics,
     )
 
 

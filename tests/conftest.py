@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from cimopt.fjsp import FjspInstance
 from cimopt.solver import _SCHEDULE_SALT, _SEED_MASK
@@ -184,3 +185,12 @@ def reference_anneal_pool(h, jmat, config, t0, t1):
                     pool = dict(keep)
                 pool_worst = max(pool.values())
     return pool
+
+
+# Any value json.loads can return, NaN and the infinities included.
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)

@@ -51,6 +51,19 @@ class TestFjspCommand:
         assert rc == 1
         assert "machines" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_outside_64_bits_is_input_error(self, tmp_path, capsys, seed):
+        rc = main(["fjsp", "-i", "1", "--seed", seed, "--out", str(tmp_path / "out"), *FAST])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "non-negative 64-bit integer" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_64_bit_seed_runs(self, tmp_path):
+        rc = main(["fjsp", "-i", "1", "--seed", str(2**64 - 1), "--out", str(tmp_path), *FAST])
+        assert rc in (0, 2)
+        assert read_json(tmp_path / "result.json")["seed"] == 2**64 - 1
+
     def test_deterministic_outputs_are_byte_identical(self, tmp_path):
         args = ["fjsp", "-i", "2", "--seed", "11", "--deterministic-output", *FAST]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -332,6 +345,8 @@ class TestProblemDocumentRejection:
             ({"mass_table": 1}, "mass_table and calibration must be str, got 1"),
             ({"calibration": None}, "mass_table and calibration must be str, got None"),
             ({"label": 4}, "label must be str, got 4"),
+            ({"target_mass": float("inf")}, "target_mass must be finite, got inf"),
+            ({"target_mass": float("nan")}, "target_mass must be finite, got nan"),
         ],
     )
     def test_rejected_with_message(self, tmp_path, capsys, change, message):

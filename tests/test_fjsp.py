@@ -5,12 +5,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimopt.errors import BudgetExceededError, DimensionError, InfeasibleHorizonError
 from cimopt.fjsp import (
     FjspInstance,
     FjspWeights,
     Schedule,
+    ScheduleEntry,
     TimedVariable,
     VariableIndex,
     build_qubo,
@@ -29,7 +32,7 @@ from cimopt.fjsp import (
 from cimopt.gantt import gantt_svg, gantt_text
 from cimopt.qubo import qubo_energy
 
-from conftest import enum_qubo_energies, index_bits, random_micro_instance
+from conftest import JSON_SCALARS, JSON_VALUES, enum_qubo_energies, index_bits, random_micro_instance
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 
@@ -471,3 +474,77 @@ class TestDocumentRejection:
         entry = {"job": 0, "op": 0, "machine": 0, "start": 0, "end": 3, field: value}
         with pytest.raises(ValueError, match="must be int"):
             schedule_from_doc(table1, [entry])
+
+    @pytest.mark.parametrize("doc", [{"entries": 5}, {}, [5], None, 5, "entries", [{"job": 0}], [[0, 0, 0, 0]]])
+    def test_schedule_rejects_malformed_documents(self, table1, doc):
+        with pytest.raises(ValueError, match="schedule"):
+            schedule_from_doc(table1, doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("job", -1), ("job", 3), ("op", -1), ("op", 9), ("machine", -1), ("machine", 5), ("start", -3)],
+    )
+    def test_entries_outside_the_instance_rejected(self, table1, field, value):
+        # negative indices must not wrap to the last job, operation or machine
+        entry = {"job": 0, "op": 0, "machine": 0, "start": 0, field: value}
+        with pytest.raises(ValueError, match=r"schedule entry \(-?\d+, -?\d+\)"):
+            schedule_from_doc(table1, [entry])
+        bad = Schedule((ScheduleEntry(**entry, end=entry["start"] + 3),))
+        with pytest.raises(ValueError, match=r"schedule entry \(-?\d+, -?\d+\)"):
+            diagnose_schedule(table1, bad)
+
+    def test_ineligible_machine_rejected(self):
+        inst = FjspInstance.build(2, 6, [[[1, None]], [[None, 2]]])
+        with pytest.raises(ValueError, match=r"\(1, 0\) is not eligible on machine 0"):
+            schedule_from_doc(inst, [{"job": 1, "op": 0, "machine": 0, "start": 0}])
+
+
+# near-valid documents reach the checks behind the type checks
+INDEX = st.integers(-1, 1)
+ENTRY = st.fixed_dictionaries(
+    {"job": INDEX, "op": INDEX, "machine": INDEX, "start": st.integers(-1, 3)},
+    optional={"end": st.integers(-1, 6) | JSON_SCALARS},
+)
+SCHEDULE_DOCS = JSON_VALUES | st.lists(ENTRY | JSON_VALUES, max_size=3) | st.fixed_dictionaries(
+    {"entries": st.lists(ENTRY, max_size=3)}
+)
+
+
+def instance_docs(machines):
+    times = st.lists(st.integers(0, 3) | st.none(), min_size=machines, max_size=machines) | JSON_VALUES
+    job = st.fixed_dictionaries({"operations": st.lists(st.fixed_dictionaries({"times": times}), min_size=1, max_size=2)})
+    return st.fixed_dictionaries(
+        {"machines": st.just(machines), "t_max": st.integers(-1, 8), "jobs": st.lists(job, max_size=2)}
+    )
+
+
+INSTANCE_DOCS = JSON_VALUES | st.integers(0, 2).flatmap(instance_docs)
+
+
+class TestReaderSweep:
+    """Any JSON value is read or rejected with ValueError, never another error."""
+
+    INST = FjspInstance.build(2, 6, [[[1, None], [None, 2]], [[3, 3]]])
+
+    @settings(max_examples=400, deadline=None)
+    @given(SCHEDULE_DOCS)
+    def test_schedule_reader(self, doc):
+        try:
+            schedule = schedule_from_doc(self.INST, doc)
+        except ValueError:
+            return
+        for e in schedule.entries:
+            assert 0 <= e.job < len(self.INST.jobs)
+            assert 0 <= e.op < len(self.INST.jobs[e.job].operations)
+            assert 0 <= e.machine < self.INST.machines
+            assert self.INST.operation(e.job, e.op).times[e.machine] is not None
+            assert e.start >= 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(INSTANCE_DOCS)
+    def test_instance_reader(self, doc):
+        try:
+            inst = instance_from_doc(doc)
+        except ValueError:
+            return
+        assert instance_from_doc(instance_to_doc(inst)) == inst

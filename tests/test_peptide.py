@@ -2,10 +2,13 @@
 
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cimopt.errors import DimensionError
 from cimopt.peptide import (
@@ -28,7 +31,7 @@ from cimopt.peptide import (
 )
 from cimopt.qubo import coefficient_stats, qubo_energy
 
-from conftest import enum_qubo_energies, index_bits
+from conftest import JSON_SCALARS, JSON_VALUES, enum_qubo_energies, index_bits
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 
@@ -365,6 +368,29 @@ class TestProblemDocs:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="must be a JSON object"):
             problem_from_doc(["target_mass"])
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        JSON_VALUES
+        | st.fixed_dictionaries(
+            {"target_mass": st.floats() | st.integers() | JSON_SCALARS},
+            optional={
+                "positions": st.integers(-1, 20) | JSON_SCALARS,
+                "mass_table": st.sampled_from(["average", "monoisotopic", "other"]) | JSON_SCALARS,
+                "calibration": st.sampled_from(["none", "subtract_water", "other"]) | JSON_SCALARS,
+                "half_water_per_acid": JSON_SCALARS,
+                "label": JSON_SCALARS,
+            },
+        )
+    )
+    @example({"target_mass": math.inf})
+    @example({"target_mass": -math.inf, "positions": 3})
+    def test_any_json_value_is_read_or_rejected_with_value_error(self, doc):
+        try:
+            problem = problem_from_doc(doc)
+        except ValueError:
+            return
+        assert problem.positions >= 1 and 0 < problem.calibrated_mass < math.inf
 
     def test_subtract_water_calibration(self):
         problem = problem_from_doc(

@@ -300,6 +300,16 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(sweeps=0)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # a larger seed was masked into [0, 2**64) and annealed as another seed
+        with pytest.raises(ValueError, match="non-negative 64-bit integer"):
+            SolverConfig(seed=seed)
+
+    def test_largest_64_bit_seed_accepted(self):
+        q = QuboMatrix(2, (1.0, 1.0), {})
+        assert solve_annealed(q, SolverConfig(sweeps=5, restarts=2, seed=2**64 - 1)).meta["seed"] == 2**64 - 1
+
     def test_latency_is_reported_wall_time(self):
         q = QuboMatrix(2, (1.0, 1.0), {})
         result = solve_annealed(q, SolverConfig(sweeps=5, restarts=1, emulate_latency_ms=10))

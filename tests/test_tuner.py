@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from cimopt.errors import PolicyError
 from cimopt.peptide import make_problem
+from cimopt.qubo import QuboMatrix
 from cimopt.solver import SolverConfig
 from cimopt.tuner import (
+    Decoded,
     FjspTask,
     PeptideTask,
     PolicyContext,
@@ -319,6 +321,77 @@ class TestRunTuning:
         report = run_tuning(task, WEIGHTS0, single_shot_policy, FAST, max_iter=5)
         assert report.iterations_run == 1
         assert report.stop_reason == "policy_stop"
+
+
+class PresetTask:
+    """Decodes the r-th ranked solution of each solve to the r-th preset
+    metric (None: infeasible); the payload and summary field name the rank."""
+
+    kind = "preset"
+    weight_names = ("w",)
+    quantize = False
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self.rank = 0
+
+    def build(self, weights):
+        self.rank = 0
+        return QuboMatrix(4, (1.0, 2.0, 3.0, 4.0), {})
+
+    def decode(self, bits):
+        rank, self.rank = self.rank, self.rank + 1
+        return Decoded({"tag": f"rank {rank}"}, self.metrics[rank], {"rank": rank}, None)
+
+    def diagnostics(self, decoded, best):
+        return {"decoded": len(decoded), "best_rank": None if best is None else best.payload["rank"]}
+
+
+class TestIncumbentRule:
+    def tune(self, metrics):
+        contexts = []
+
+        def policy(ctx):
+            contexts.append(ctx)
+            return PolicyDecision("stop", rationale="one round")
+
+        config = SolverConfig(sweeps=50, restarts=8, seed=0, top_k=len(metrics))
+        report = run_tuning(PresetTask(metrics), {"w": 1.0}, policy, config, max_iter=1)
+        (ctx,) = contexts
+        assert len(ctx.solve_summary) == len(metrics)  # one row per ranked solution
+        return report, ctx
+
+    def test_ties_go_to_the_lowest_rank(self):
+        report, ctx = self.tune([4.0, 2.0, 2.0, 3.0])
+        assert report.incumbent_payload == {"rank": 1}
+        assert report.incumbent_metric == 2.0
+        assert ctx.diagnostics == {"decoded": 4, "best_rank": 1}
+        assert ctx.incumbent == {"metric": 2.0, "weights": {"w": 1.0}}
+
+    def test_infeasible_rank_zero_yields_to_a_feasible_rank(self):
+        report, ctx = self.tune([None, None, 7.0, None])
+        assert report.feasible
+        assert report.incumbent_payload == {"rank": 2}
+        assert report.memory.history == [{"weights": {"w": 1.0}, "metric": 7.0}]
+        assert ctx.diagnostics["best_rank"] == 2
+
+    def test_all_infeasible_leaves_no_incumbent(self):
+        report, ctx = self.tune([None, None, None])
+        assert not report.feasible
+        assert report.incumbent_payload is None and report.incumbent_weights is None
+        assert report.memory.history == [{"weights": {"w": 1.0}, "metric": None}]
+        assert ctx.incumbent is None
+        assert ctx.diagnostics == {"decoded": 3, "best_rank": None}
+        assert report.final_diagnostics == ctx.diagnostics
+
+    def test_summary_rows_carry_rank_energy_and_task_fields(self):
+        _, ctx = self.tune([1.0, None, 3.0, 2.0])
+        rows = ctx.solve_summary
+        assert [list(row) for row in rows] == [["rank", "energy", "tag"]] * 4
+        assert [row["rank"] for row in rows] == [0, 1, 2, 3]
+        assert [row["tag"] for row in rows] == [f"rank {r}" for r in range(4)]
+        energies = [row["energy"] for row in rows]
+        assert energies == sorted(energies) and energies[0] == 0.0
 
 
 class TestDecisionParsing:
