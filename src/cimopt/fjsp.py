@@ -269,6 +269,38 @@ def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, 
     return start, start + p
 
 
+def _h3_pairs(
+    start: np.ndarray, end: np.ndarray, job_of: np.ndarray, machine_of: np.ndarray, strict: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The H3 pairs (a, b), a < b, sorted: variables of different jobs on
+    one machine whose times conflict.
+
+    With each machine's variables in order of start (stable), a variable's
+    conflicts form one window of that order, so only windows are paired.
+    Strict pairs it with the later starts before its end: the half-open
+    intervals then meet. Paper-literal pairs it with the earlier starts at
+    most its own duration before its start: |t - t'| is bounded by the
+    later operand's time, so the ordered tuples (a, b) and (b, a) qualify
+    together. Sorted pairs keep ``QuboBuilder.build``'s stable sort cheap.
+    """
+    order = np.lexsort((start, machine_of))
+    s, e = start[order], end[order]
+    base = machine_of[order] * (int(end.max()) + 1)  # base + time orders by machine, then time
+    key = base + s
+    if strict:
+        lo, hi = np.arange(1, key.size + 1), np.searchsorted(key, base + e)
+    else:  # starts are >= 0, so clamping at 0 keeps the bound on the machine
+        lo, hi = np.searchsorted(key, base + np.maximum(s - (e - s), 0)), np.arange(key.size)
+    counts = hi - lo
+    first = np.repeat(np.arange(key.size), counts)
+    second = np.arange(first.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    a, b = order[first], order[second]
+    hit = job_of[a] != job_of[b]
+    n = start.size
+    pairs = np.sort(np.minimum(a, b)[hit] * n + np.maximum(a, b)[hit])
+    return pairs // n, pairs % n
+
+
 def build_qubo(
     inst: FjspInstance,
     weights: FjspWeights,
@@ -309,22 +341,15 @@ def build_qubo(
                 p, s = np.nonzero(start[succ][None, :] < end[pred][:, None])
                 builder.add_pairs(pred[p], succ[s], weights.beta)
 
-    # H3: cross-job temporal conflicts on a shared machine
+    # H3: cross-job temporal conflicts on a shared machine, paired only
+    # within each variable's window of start times (_h3_pairs): strict,
+    # the later starts before its end; paper-literal, the earlier starts
+    # at most its own duration before its start
     if weights.gamma > 0:
         job_of = np.array([e.job for e in index.entries])
         machine_of = np.array([e.machine for e in index.entries])
-        for machine in dict.fromkeys(machine_of.tolist()):
-            members = np.flatnonzero(machine_of == machine)
-            a, b = (members[t] for t in np.triu_indices(members.size, 1))
-            if h3_mode == "strict":
-                hit = (start[a] < end[b]) & (start[b] < end[a])
-            else:
-                # ordered tuples (a,b) and (b,a) qualify together, so
-                # a qualifying pair is charged twice
-                dt = start[a] - start[b]
-                hit = ((dt >= 0) & (dt <= end[a] - start[a])) | ((dt <= 0) & (-dt <= end[b] - start[b]))
-            hit &= job_of[a] != job_of[b]
-            builder.add_pairs(a[hit], b[hit], weights.gamma if h3_mode == "strict" else 2.0 * weights.gamma)
+        a, b = _h3_pairs(start, end, job_of, machine_of, h3_mode == "strict")
+        builder.add_pairs(a, b, weights.gamma if h3_mode == "strict" else 2.0 * weights.gamma)
 
     # H4: completion of each job's last operation, shifted by its earliest
     # possible predecessor time so the minimum contribution stays small

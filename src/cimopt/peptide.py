@@ -433,18 +433,30 @@ def problem_to_doc(problem: PeptideProblem) -> dict:
     }
 
 
+def _finite_mass(doc: Mapping, name: str) -> float:
+    (value,) = require_type([doc[name]], (int, float), name)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer too large for a float
+        raise ValueError(f"{name} is out of range") from None
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def problem_from_doc(doc: Mapping) -> PeptideProblem:
+    """Read a problem document strictly.
+
+    A stated ``calibrated_mass`` (as ``problem_to_doc`` writes it) is the
+    calibrated mass, so it needs ``"calibration": "none"`` and a positive
+    ``target_mass``; without it the mass is calibrated as ``make_problem``
+    does.
+    """
     if not isinstance(doc, Mapping):
         raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
     if "target_mass" not in doc:
         raise ValueError("problem document is missing field 'target_mass'")
-    (target_mass,) = require_type([doc["target_mass"]], (int, float), "target_mass")
-    try:
-        target_mass = float(target_mass)
-    except OverflowError:  # a JSON integer too large for a float
-        raise ValueError("target_mass is out of range") from None
-    if not math.isfinite(target_mass):  # json reads NaN and Infinity
-        raise ValueError(f"target_mass must be finite, got {target_mass}")
+    target_mass = _finite_mass(doc, "target_mass")
     positions = doc.get("positions")
     if positions is not None:
         require_type([positions], (int,), "positions")
@@ -455,6 +467,15 @@ def problem_from_doc(doc: Mapping) -> PeptideProblem:
     label = doc.get("label")
     if label is not None:
         require_type([label], (str,), "label")
+    if "calibrated_mass" in doc:
+        if calibration != "none":
+            raise ValueError(f"a stated calibrated_mass needs calibration 'none', got {calibration!r}")
+        if not target_mass > 0:
+            raise ValueError(f"target_mass must be positive, got {target_mass}")
+        calibrated = _finite_mass(doc, "calibrated_mass")
+        if positions is None:
+            positions = default_position_count(calibrated)
+        return PeptideProblem(target_mass, calibrated, positions, table, half_water, label)
     return make_problem(
         target_mass=target_mass,
         positions=positions,

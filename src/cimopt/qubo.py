@@ -470,7 +470,9 @@ def _terms_to_doc(m: _Terms) -> dict:
 
 def _terms_from_doc(doc: Mapping) -> tuple:
     """(n, diag, pairs, offset) of a QUBO or Ising document."""
-    n, diag, offset, upper = doc["n"], doc["diag"], doc.get("offset", 0.0), list(doc.get("upper", []))
+    n, diag, offset, upper = doc["n"], doc["diag"], doc.get("offset", 0.0), doc.get("upper", [])
+    if type(diag) is not list or type(upper) is not list:
+        raise ValueError("diag and upper must be JSON arrays")
     if any(type(t) is not list or len(t) != 3 for t in upper):
         raise ValueError("upper entries must be [i, j, value] triples")
     rows, cols, vals = zip(*upper) if upper else ((), (), ())

@@ -123,11 +123,21 @@ def _as_positive_ising(model: Model) -> IsingModel:
     return model
 
 
-def _rank(spins: np.ndarray, work: IsingModel, top_k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
-    # dedup by vector, then sort by (energy, lexicographic vector) so merge
-    # order can never influence the output
-    vecs = list(dict.fromkeys(map(tuple, spins.astype(np.int64).tolist())))
-    ranked = sorted(zip(batch_energy(work, vecs).tolist(), vecs))
+def _rank(
+    spins: np.ndarray, work: IsingModel, top_k: int, energies: np.ndarray | None = None
+) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """The top_k rows by (energy, lexicographic vector), so merge order can
+    never influence the output.
+
+    Without ``energies`` the rows are deduplicated and evaluated by
+    ``batch_energy``. Given, ``energies`` must be each row's exact energy
+    under ``work``, as ``batch_energy`` would give it, and the rows distinct.
+    """
+    vecs = list(map(tuple, spins.astype(np.int64).tolist()))
+    if energies is None:
+        vecs = list(dict.fromkeys(vecs))
+        energies = batch_energy(work, vecs)
+    ranked = sorted(zip(energies.tolist(), vecs))
     return tuple((vec, e) for e, vec in ranked[:top_k])
 
 
@@ -236,10 +246,12 @@ def _anneal_pool(
     A signed zero adds nothing to a sum that has a nonzero term, so the
     only possible difference is the sign of a field or energy that is
     exactly zero: exp(+-0) = 1 and -0.0 == 0.0, so no accept decision,
-    pool key or pool order changes, and reported energies are recomputed
-    from the pooled spins. Every spin is visited once per sweep, so no
-    block reads a spin that an earlier block of the sweep flipped: after
-    the last block, ``visit += delta`` applies the flips (s - 2s = -s and
+    pool key or pool order changes, and in a float32 anneal a pooled
+    energy plus the offset equals its re-evaluation, in sign too unless
+    the offset is -0.0.
+    Every spin is visited once per sweep, so no block reads a spin that an
+    earlier block of the sweep flipped: after the last block,
+    ``visit += delta`` applies the flips (s - 2s = -s and
     s + 0 = s, both exact) and one gather through the inverse of the
     visiting order writes them back to ``spins``. The pool's largest
     energy is kept incrementally; it is recomputed only when the entry
@@ -355,7 +367,12 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
 
     Restart r runs its own chain, whose initial spins and acceptance draws
     come from a stream seeded with seed XOR r; the best distinct states
-    across all chains are pooled, re-evaluated, and ranked. Seeds therefore
+    across all chains are pooled and ranked by (energy, vector). A float32
+    anneal (see ``_dense_fields``) is exact, so its pooled energies plus
+    the offset are already what ``batch_energy`` gives and are ranked as
+    they are. A float64 anneal's pooled energies carry the drift of the
+    incremental field updates (up to about 1.5e-7 on LACRP4), so its
+    states are re-evaluated by ``batch_energy`` first. Seeds therefore
     share chain streams: with the default 8 restarts, seeds 0-7 all run
     the streams seeded 0-7 (each in another order) and differ only in the
     visiting order, which comes from a stream of the seed itself; seeds
@@ -371,7 +388,9 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
         time.sleep(config.emulate_latency_ms / 1000.0)
     pool = _anneal_pool(h, jmat, config, t0, t1)
     spins = np.frombuffer(b"".join(pool), dtype=np.float64).reshape(len(pool), work.n)
-    solutions = _rank(spins, work, config.top_k)
+    # a float32 anneal is exact, so its pool holds each state's energy less the offset
+    exact = np.fromiter(pool.values(), np.float64, len(pool)) + work.offset if h.dtype == np.float32 else None
+    solutions = _rank(spins, work, config.top_k, exact)
     meta = {
         "method": "annealed",
         "seed": config.seed,

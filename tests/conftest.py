@@ -118,6 +118,45 @@ def random_micro_instance(rng):
             return inst, index
 
 
+def random_fjsp_instance(rng, jobs, machines, slack):
+    """Brandimarte-range instance: 5-7 operations per job, 1-3 eligible
+    machines per operation, times 1-7, and a horizon of the longest job's
+    minimum work plus ``slack``."""
+    ops = []
+    for _ in range(jobs):
+        job = []
+        for _ in range(int(rng.integers(5, 8))):
+            times = [None] * machines
+            for m in rng.choice(machines, int(rng.integers(1, 4)), replace=False):
+                times[int(m)] = int(rng.integers(1, 8))
+            job.append(times)
+        ops.append(job)
+    work = max(sum(min(t for t in times if t is not None) for times in job) for job in ops)
+    return FjspInstance.build(machines, work + slack, ops)
+
+
+def reference_h3_pairs(start, end, job_of, machine_of, strict):
+    """H3 pairing as first written, every same-machine pair made and the
+    conflicting cross-job ones kept: the golden reference that the windowed
+    pairing of ``build_qubo`` must reproduce (same pairs, same arrays)."""
+    h3_mode = "strict" if strict else "paper-literal"
+    rows, cols = [], []
+    for machine in dict.fromkeys(machine_of.tolist()):
+        members = np.flatnonzero(machine_of == machine)
+        a, b = (members[t] for t in np.triu_indices(members.size, 1))
+        if h3_mode == "strict":
+            hit = (start[a] < end[b]) & (start[b] < end[a])
+        else:
+            # ordered tuples (a,b) and (b,a) qualify together, so
+            # a qualifying pair is charged twice
+            dt = start[a] - start[b]
+            hit = ((dt >= 0) & (dt <= end[a] - start[a])) | ((dt <= 0) & (-dt <= end[b] - start[b]))
+        hit &= job_of[a] != job_of[b]
+        rows.append(a[hit])
+        cols.append(b[hit])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
 def reference_anneal_pool(h, jmat, config, t0, t1):
     """The annealer as first written, all in float64: the golden reference
     that the solver's dtype choice and block step must reproduce bit for bit.

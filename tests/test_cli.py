@@ -273,6 +273,16 @@ class TestModelDocumentRejection:
         assert "must be a JSON object" in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("change", [{"diag": {}}, {"upper": ""}, {"upper": {}}], ids=["diag", "upper-str", "upper-obj"])
+    def test_terms_that_are_not_arrays_rejected(self, tmp_path, capsys, change):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"n": 2, "diag": [1.0, 3.0], "upper": [], **change}))
+        rc = main(["qubo", "energy", str(path), "--bits", "01"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "must be JSON arrays" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_ising_document_repeated_pair(self, tmp_path, capsys):
         path = tmp_path / "ising.json"
         doc = {"n": 2, "diag": [1.0, 2.0], "upper": [[0, 1, 0.5], [0, 1, 0.5]], "offset": 0.0, "convention": "positive_sum"}

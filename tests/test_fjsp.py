@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cimopt import fjsp
 from cimopt.errors import BudgetExceededError, DimensionError, InfeasibleHorizonError
 from cimopt.fjsp import (
     FjspInstance,
@@ -32,7 +33,15 @@ from cimopt.fjsp import (
 from cimopt.gantt import gantt_svg, gantt_text
 from cimopt.qubo import qubo_energy
 
-from conftest import JSON_SCALARS, JSON_VALUES, enum_qubo_energies, index_bits, random_micro_instance
+from conftest import (
+    JSON_SCALARS,
+    JSON_VALUES,
+    enum_qubo_energies,
+    index_bits,
+    random_fjsp_instance,
+    random_micro_instance,
+    reference_h3_pairs,
+)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 
@@ -266,6 +275,55 @@ class TestBuildQubo:
         bad = VariableIndex(index.entries + (TimedVariable(0, 0, 1, 0),), index.raw_count)
         with pytest.raises(DimensionError, match=r"index entry .* uses an ineligible machine"):
             build_qubo(inst, FjspWeights(1.0, 1.0, 1.0, 1.0), bad)
+
+
+H3_WEIGHTS = [FjspWeights(150, 100, 100, 15), FjspWeights(1.3, 0.7, 2.9, 0.1)]
+
+
+class TestWindowedH3:
+    """build_qubo pairs H3 by start-time windows; the arrays must equal
+    those of a build that makes every same-machine pair and filters."""
+
+    @staticmethod
+    def assert_matches_reference(inst, index):
+        for weights in H3_WEIGHTS:
+            for mode in ("strict", "paper-literal"):
+                q = build_qubo(inst, weights, index, mode)
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(fjsp, "_h3_pairs", reference_h3_pairs)
+                    expected = build_qubo(inst, weights, index, mode)
+                for name in ("lin", "rows", "cols", "vals"):
+                    got, want = getattr(q, name), getattr(expected, name)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mode, weights, name)
+                assert (q.n, q.offset) == (expected.n, expected.offset)
+
+    def test_equal_starts_and_back_to_back(self):
+        # one machine; starts 0-4 of a 2-unit and 0-3 of a 3-unit operation
+        inst = FjspInstance.build(1, 6, [[[2]], [[3]]])
+        index = prune_variables(inst)
+        self.assert_matches_reference(inst, index)
+        q = build_qubo(inst, FjspWeights(0, 0, 1, 0), index, "strict")
+        at = {(e.job, e.start): k for k, e in enumerate(index.entries)}
+        assert q.upper[(at[0, 1], at[1, 1])] == 1.0  # equal starts
+        assert (at[0, 0], at[1, 2]) not in q.upper  # back to back: [0, 2) then [2, 5)
+        assert (at[1, 0], at[0, 3]) not in q.upper  # back to back: [0, 3) then [3, 5)
+        literal = build_qubo(inst, FjspWeights(0, 0, 1, 0), index, "paper-literal")
+        # |t - t'| is bounded by the later operation's time, charged twice
+        assert literal.upper[(at[0, 1], at[1, 1])] == 2.0
+        assert literal.upper[(at[0, 0], at[1, 3])] == 2.0  # 3 - 0 <= 3
+        assert (at[1, 0], at[0, 3]) not in literal.upper  # 3 - 0 > 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_micro_instances(self, seed):
+        inst, index = random_micro_instance(np.random.default_rng(seed))
+        self.assert_matches_reference(inst, index)
+
+    def test_generated_10x6(self):
+        inst = random_fjsp_instance(np.random.default_rng(1), 10, 6, slack=8)
+        index = prune_variables(inst)
+        assert len(index) == 1965
+        self.assert_matches_reference(inst, index)
 
 
 class TestDecode:

@@ -380,17 +380,47 @@ class TestProblemDocs:
                 "calibration": st.sampled_from(["none", "subtract_water", "other"]) | JSON_SCALARS,
                 "half_water_per_acid": JSON_SCALARS,
                 "label": JSON_SCALARS,
+                "calibrated_mass": st.floats() | st.integers() | JSON_SCALARS,
             },
         )
     )
     @example({"target_mass": math.inf})
     @example({"target_mass": -math.inf, "positions": 3})
+    @example({"calibration": "subtract_water", "target_mass": 19.0})
     def test_any_json_value_is_read_or_rejected_with_value_error(self, doc):
         try:
             problem = problem_from_doc(doc)
         except ValueError:
             return
         assert problem.positions >= 1 and 0 < problem.calibrated_mass < math.inf
+        assert problem_from_doc(problem_to_doc(problem)) == problem
+
+    def test_calibrated_mass_survives_a_round_trip(self):
+        problem = make_problem(1500.0, positions=13, calibration="subtract_water")
+        assert problem.calibrated_mass == pytest.approx(1481.98, abs=0.01)
+        assert problem_from_doc(problem_to_doc(problem)) == problem
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"calibrated_mass": True}, "calibrated_mass must be"),
+            ({"calibrated_mass": "1400"}, "calibrated_mass must be"),
+            ({"calibrated_mass": None}, "calibrated_mass must be"),
+            ({"calibrated_mass": math.inf}, "calibrated_mass must be finite"),
+            ({"calibrated_mass": 10**400}, "calibrated_mass is out of range"),
+            ({"calibrated_mass": 0}, "calibrated mass must be positive"),
+            ({"calibrated_mass": 1400.0, "calibration": "subtract_water"}, "needs calibration 'none'"),
+            ({"calibrated_mass": 1400.0, "target_mass": -1.0}, "target_mass must be positive"),
+        ],
+    )
+    def test_stated_calibrated_mass_checked(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            problem_from_doc({"target_mass": 1448.77, "positions": 13, **change})
+
+    def test_stated_calibrated_mass_sets_default_positions(self):
+        problem = problem_from_doc({"target_mass": 1500.0, "calibrated_mass": 750.0})
+        assert problem.calibrated_mass == 750.0
+        assert problem.positions == default_position_count(750.0)
 
     def test_subtract_water_calibration(self):
         problem = problem_from_doc(

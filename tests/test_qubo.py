@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cimopt.errors import DegenerateMatrixError, DimensionError
@@ -30,7 +30,7 @@ from cimopt.qubo import (
     spins_to_bits,
 )
 
-from conftest import naive_qubo_energy, naive_ising_energy, round_half_away_int8
+from conftest import JSON_SCALARS, JSON_VALUES, naive_qubo_energy, naive_ising_energy, round_half_away_int8
 
 TWO_VAR = QuboMatrix(2, (1.0, 3.0), {(0, 1): 2.0})
 
@@ -240,6 +240,65 @@ class TestJsonDocs:
     def test_malformed_doc(self):
         with pytest.raises(ValueError):
             qubo_from_doc({"diag": [1.0]})
+
+
+def terms_docs(n):
+    """A QUBO or Ising document over n variables, with at most one field
+    replaced by an arbitrary JSON value or left out."""
+    number = st.floats() | st.integers(-3, 3)
+    index = st.integers(0, n)
+    fields = {
+        "n": st.just(n),
+        "diag": st.lists(number, min_size=n, max_size=n),
+        "upper": st.lists(st.tuples(index, index, number | JSON_SCALARS).map(list), max_size=3),
+        "offset": number,
+        "convention": st.sampled_from(["positive_sum", "negated_sum"]),
+    }
+
+    def mutate(args):
+        doc, name, value, drop = args
+        if name is not None:
+            doc.pop(name) if drop else doc.update({name: value})
+        return doc
+
+    return st.tuples(
+        st.fixed_dictionaries(fields), st.none() | st.sampled_from(list(fields)), JSON_VALUES, st.booleans()
+    ).map(mutate)
+
+
+TERMS_DOCS = JSON_VALUES | st.integers(0, 3).flatmap(terms_docs)
+
+
+class TestReaderSweep:
+    """Any JSON value is read or rejected with ValueError, never another
+    error, and every accepted document round-trips."""
+
+    @pytest.mark.parametrize("reader", [qubo_from_doc, ising_from_doc])
+    @pytest.mark.parametrize("change", [{"diag": {}}, {"upper": ""}, {"upper": {}}], ids=["diag-object", "upper-string", "upper-object"])
+    def test_terms_must_be_arrays(self, reader, change):
+        doc = {"n": 2, "diag": [1.0, 3.0], "upper": [], "convention": "positive_sum", **change}
+        with pytest.raises(ValueError, match="diag and upper must be JSON arrays"):
+            reader(doc)
+
+    @settings(max_examples=400, deadline=None)
+    @given(TERMS_DOCS)
+    @example({"n": 2, "diag": {}, "upper": [], "convention": "positive_sum"})
+    def test_qubo_reader(self, doc):
+        try:
+            q = qubo_from_doc(doc)
+        except ValueError:
+            return
+        assert qubo_from_doc(qubo_to_doc(q)) == q
+
+    @settings(max_examples=400, deadline=None)
+    @given(TERMS_DOCS)
+    @example({"n": 2, "diag": {}, "upper": [], "convention": "positive_sum"})
+    def test_ising_reader(self, doc):
+        try:
+            m = ising_from_doc(doc)
+        except ValueError:
+            return
+        assert ising_from_doc(ising_to_doc(m)) == m
 
 
 @st.composite

@@ -22,6 +22,7 @@ from cimopt.qubo import (
     IsingModel,
     QuboBuilder,
     QuboMatrix,
+    batch_energy,
     ising_energy,
     quantize_int8,
     qubo_energy,
@@ -36,7 +37,7 @@ from cimopt.solver import (
     solve_quantized,
 )
 
-from conftest import enum_qubo_energies, reference_anneal_pool
+from conftest import enum_qubo_energies, random_fjsp_instance, reference_anneal_pool
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 
@@ -446,3 +447,79 @@ class TestAnnealStateDtype:
         assert state_dtype(IsingModel(2, (0.0, 0.0), {(0, 1): 2.0**20})) == np.float64
         assert state_dtype(IsingModel(1, (2.0**21 - 0.25,), {})) == np.float32
         assert state_dtype(IsingModel(1, (2.0**21,), {})) == np.float64
+
+
+def generated_fjsp():
+    inst = random_fjsp_instance(np.random.default_rng(1), 10, 6, slack=8)  # n = 1,965
+    return build_qubo(inst, FjspWeights(150, 100, 100, 15), prune_variables(inst))
+
+
+def tie_prone_model(n=30):
+    """Coefficients in {-1, 0, 1}: many states share each energy."""
+    rng = np.random.default_rng(n)
+    rows, cols = np.triu_indices(n, 1)
+    keep = rng.random(rows.size) < 0.3
+    upper = {(int(i), int(j)): float(rng.integers(-1, 2)) for i, j in zip(rows[keep], cols[keep])}
+    return QuboMatrix(n, rng.integers(-1, 2, n).astype(float), {k: v for k, v in upper.items() if v}, 0.5)
+
+
+EXACT_REGIME = {
+    "fjsp": (bundled_fjsp, 200),
+    "lacrp4-quantized": (lambda: quantize_int8(build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1))).to_matrix(), 200),
+    "generated-fjsp": (generated_fjsp, 20),
+    "tie-prone": (tie_prone_model, 200),
+}
+
+
+def count_batch_energy(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return batch_energy(*args)
+
+    monkeypatch.setattr(solver, "batch_energy", counted)
+    return calls
+
+
+class TestExactRegimeRanking:
+    """A float32 anneal ranks by its pool's own energies plus the offset."""
+
+    @staticmethod
+    def ranked_by_reevaluation(model, config):
+        """The rule as first written: the whole pool re-evaluated by
+        batch_energy and sorted by (energy, vector)."""
+        work = solver._as_positive_ising(model)
+        h, jmat = solver._dense_fields(work)
+        pool = solver._anneal_pool(h, jmat, config, *solver._resolve_temps(config, work))
+        vecs = list(dict.fromkeys(tuple(np.frombuffer(key).astype(int).tolist()) for key in pool))
+        ranked = sorted(zip(batch_energy(work, vecs).tolist(), vecs))
+        return tuple((vec, e) for e, vec in ranked[: config.top_k]), h.dtype, ranked
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("name", EXACT_REGIME)
+    def test_equals_reevaluated_ranking(self, monkeypatch, name, seed):
+        build, sweeps = EXACT_REGIME[name]
+        model = build()
+        config = SolverConfig(sweeps=sweeps, seed=seed)
+        expected, dtype, _ = self.ranked_by_reevaluation(model, config)
+        calls = count_batch_energy(monkeypatch)
+        result = solve_annealed(model, config)
+        assert dtype == np.float32
+        assert not calls  # ranked without re-evaluation
+        assert result.solutions == expected
+        for vec, e in result.solutions:
+            assert e == batch_energy(result.model, [vec])[0]
+
+    def test_tie_prone_model_ties(self):
+        # the vector order decides within an energy, inside the top 10
+        _, _, ranked = self.ranked_by_reevaluation(tie_prone_model(), SolverConfig(sweeps=200))
+        energies = [e for e, _ in ranked[:10]]
+        assert len(set(energies)) < len(energies)
+
+    def test_float64_anneal_reevaluates(self, monkeypatch):
+        model = build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1))
+        assert state_dtype(model) == np.float64
+        calls = count_batch_energy(monkeypatch)
+        result = solve_annealed(model, SolverConfig(sweeps=100))
+        assert len(calls) == 1 and len(calls[0][1]) >= len(result.solutions)
