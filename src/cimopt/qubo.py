@@ -12,9 +12,9 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import FrozenInstanceError, asdict, dataclass
-from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -106,7 +106,9 @@ class _Terms:
             raise ValueError(f"need at least one variable, got n={n}")
         if (lin := _frozen(lin, dtype)).shape != (n,):
             raise DimensionError(f"{lin_name} has {lin.size} entries for n={n}")
-        if not isinstance(pairs, _Pairs):
+        if isinstance(pairs, _PairView):  # another model's arrays, not 200k tuples
+            pairs = _Pairs(pairs._m.rows, pairs._m.cols, pairs._m.vals)
+        elif not isinstance(pairs, _Pairs):
             ij = np.array(list(pairs)) if pairs else np.empty((0, 2), dtype=np.intp)
             if ij.dtype.kind not in "iu" or ij.shape != (len(pairs), 2):
                 raise ValueError(f"{pair_name} keys must be integer pairs (i, j)")
@@ -133,9 +135,6 @@ class _Terms:
     def _tuple(self) -> tuple:
         return tuple(self.lin.tolist())
 
-    def _mapping(self) -> Mapping:
-        return MappingProxyType(dict(zip(zip(self.rows.tolist(), self.cols.tolist()), self.vals.tolist())))
-
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -154,6 +153,104 @@ class _Terms:
         return f"{type(self).__name__}(n={self.n}, pairs={self.vals.size}{scalars})"
 
 
+_CHUNK = 4096  # pairs converted to Python objects per step of an iteration
+
+
+def _as_int(x) -> int | None:
+    """The int that x equals, as a dict compares keys (so 1.0 and True find 1), or None."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
+
+
+class _PairView(Mapping):
+    """Read-only (i, j) -> value view of a model's pairs, equal to the matching dict.
+
+    It holds the model and copies nothing: ``len`` is constant-time, a
+    lookup binary-searches ``rows`` for row i and then ``cols`` within that
+    row, and the view and its ``keys()``, ``values()`` and ``items()``
+    iterate in stored (i, j) order, ``_CHUNK`` pairs at a time. Keys and
+    values come back as Python ints and floats (ints for QuantizedQubo).
+    """
+
+    __slots__ = ("_m",)
+
+    def __init__(self, model: _Terms):
+        self._m = model
+
+    def __len__(self) -> int:
+        return self._m.vals.size
+
+    def _find(self, key) -> int | None:
+        """Index of key's pair in the arrays, or None."""
+        hash(key)  # an unhashable key raises TypeError, as in a dict
+        if not (isinstance(key, tuple) and len(key) == 2):
+            return None
+        i, j = map(_as_int, key)
+        m = self._m
+        if i is None or j is None or not 0 <= i < j < m.n:
+            return None
+        lo, hi = m.rows.searchsorted([i, i + 1]).tolist()  # row i's range
+        k = lo + int(m.cols[lo:hi].searchsorted(j))
+        return k if k < hi and m.cols[k] == j else None
+
+    def __getitem__(self, key):
+        if (k := self._find(key)) is None:
+            raise KeyError(key)
+        return self._m.vals[k].item()
+
+    def _chunks(self, *arrays) -> Iterator[list]:
+        for start in range(0, self._m.vals.size, _CHUNK):
+            yield [a[start : start + _CHUNK].tolist() for a in arrays]
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        for rows, cols in self._chunks(self._m.rows, self._m.cols):
+            yield from zip(rows, cols)
+
+    def values(self) -> ValuesView:
+        return _PairValues(self)
+
+    def items(self) -> ItemsView:
+        return _PairItems(self)
+
+    def __eq__(self, other):
+        if isinstance(other, _PairView):
+            return all(np.array_equal(getattr(self._m, f), getattr(other._m, f)) for f in ("rows", "cols", "vals"))
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        absent = object()
+        return len(self) == len(other) and all(v == other.get(k, absent) for k, v in self.items())
+
+    def __repr__(self) -> str:
+        return f"<pairs of {self._m!r}>"
+
+
+class _PairValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        for (vals,) in self._mapping._chunks(self._mapping._m.vals):
+            yield from vals
+
+    def __contains__(self, value) -> bool:
+        return any(v is value or v == value for v in self)
+
+
+class _PairItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        m = self._mapping._m
+        for rows, cols, vals in self._mapping._chunks(m.rows, m.cols, m.vals):
+            yield from zip(zip(rows, cols), vals)
+
+    def __contains__(self, item) -> bool:
+        # a dict's items view answers False, not TypeError, for a non-pair
+        return isinstance(item, tuple) and len(item) == 2 and super().__contains__(item)
+
+
 class QuboMatrix(_Terms):
     """Upper-triangular quadratic form over n binary variables.
 
@@ -164,14 +261,17 @@ class QuboMatrix(_Terms):
     Storage is read-only arrays, validated once at construction: float64
     ``lin`` holds the diagonal and ``rows``/``cols``/``vals`` are coalesced
     COO arrays of the stored pairs (rows < cols, sorted, no repeats).
-    ``diag`` (a tuple) and ``upper`` (a read-only Mapping equal to the
-    matching dict) are built from the arrays on each access.
+    ``diag`` is a tuple built from ``lin`` on each access. ``upper`` is a
+    read-only Mapping over the pair arrays that copies nothing and compares
+    equal to the matching dict: ``len`` in constant time, lookup by binary
+    search, iteration in fixed-size chunks. Passing it back in, as in
+    ``QuboMatrix(q.n, q.diag, q.upper, q.offset)``, reuses the arrays.
     """
 
     __slots__ = ("offset",)
     _SCALARS = ("offset",)
     diag = property(_Terms._tuple)
-    upper = property(_Terms._mapping)
+    upper = property(_PairView)
 
     def __init__(self, n: int, diag: Sequence[float], upper: Mapping, offset: float = 0.0):
         self._store(n, diag, upper, offset=float(_frozen(offset, np.float64)))
@@ -185,15 +285,16 @@ class IsingModel(_Terms):
     """Spin Hamiltonian with local fields h, couplings J, and a sign tag.
 
     Stored like QuboMatrix: ``lin`` holds h and the ``rows``/``cols``/
-    ``vals`` arrays the couplings; ``h`` and ``J`` are the tuple and
-    Mapping views. ``convention`` says how an energy reads the arrays.
+    ``vals`` arrays the couplings; ``h`` is a tuple and ``J`` the same
+    array-backed Mapping view as ``QuboMatrix.upper``. ``convention`` says
+    how an energy reads the arrays.
     """
 
     __slots__ = ("offset", "convention")
     _NAMES = ("h", "J")
     _SCALARS = ("offset", "convention")
     h = property(_Terms._tuple)
-    J = property(_Terms._mapping)
+    J = property(_PairView)
 
     def __init__(self, n: int, h: Sequence[float], J: Mapping, offset: float = 0.0,
                  convention: IsingConvention = IsingConvention.POSITIVE_SUM):
@@ -221,14 +322,16 @@ class QuantizedQubo(_Terms):
 
     ``original ~= integer / scale`` up to rounding. The offset of the source
     matrix is intentionally not quantized; solvers rank by relative energy.
-    Stored like QuboMatrix, in int64 arrays; ``int_diag``/``int_upper`` are views.
+    Stored like QuboMatrix, in int64 arrays; ``int_diag`` is a tuple and
+    ``int_upper`` the array-backed Mapping view of ``QuboMatrix.upper``,
+    with int values.
     """
 
     __slots__ = ("scale", "report")
     _NAMES = ("int_diag", "int_upper")
     _SCALARS = ("scale", "report")
     int_diag = property(_Terms._tuple)
-    int_upper = property(_Terms._mapping)
+    int_upper = property(_PairView)
 
     def __init__(self, n: int, int_diag, int_upper: Mapping, scale: float, report: QuantizationReport):
         if not scale > 0:

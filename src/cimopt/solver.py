@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, require_type
 from .qubo import (  # qubo_energy, ising_energy: kept in this namespace, bench/spans.py wraps them
     IsingConvention,
     IsingModel,
@@ -51,6 +51,13 @@ _READOUT_SALT = 0x6A09E667F3BCC909
 Model = Union[IsingModel, QuboMatrix]
 
 
+def _require_seed(seed) -> None:
+    """The one seed rule: an int in [0, 2**64), so no seed is masked into another."""
+    require_type([seed], (int,), "seed")
+    if not 0 <= seed <= _SEED_MASK:
+        raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Annealer settings.
@@ -60,7 +67,8 @@ class SolverConfig:
     capped at 10 to match the fixed output structure of the emulated
     hardware. ``readout_flip_prob`` flips each output spin independently;
     ``emulate_latency_ms`` sleeps that long per solve and is reported as the
-    (deterministic) wall time.
+    (deterministic) wall time. Counts and the seed must be ints, the
+    probability and temperatures ints or floats, never bools (ValueError).
     """
 
     sweeps: int = 5000
@@ -73,6 +81,11 @@ class SolverConfig:
     emulate_latency_ms: int = 0
 
     def __post_init__(self):
+        for name in ("sweeps", "restarts", "top_k", "emulate_latency_ms"):
+            require_type([getattr(self, name)], (int,), name)
+        require_type([self.readout_flip_prob], (int, float), "readout_flip_prob")
+        require_type([t for t in (self.temp_initial, self.temp_final) if t is not None], (int, float), "temperatures")
+        _require_seed(self.seed)
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
         if self.restarts < 1:
@@ -88,8 +101,6 @@ class SolverConfig:
         if self.temp_initial is not None:
             if not (self.temp_initial >= self.temp_final > 0):
                 raise ValueError("need temp_initial >= temp_final > 0")
-        if not 0 <= self.seed <= _SEED_MASK:
-            raise ValueError(f"seed must be a non-negative 64-bit integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -148,6 +159,7 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
     spins and B the rest, E(a, b) = E_A(a) + E_B(b) + a^T J_AB b is summed
     in float64 for up to 2**20 states (8 MiB) at a time; the k lowest are ranked.
     """
+    require_type([top_k], (int,), "top_k")
     if not 1 <= top_k <= MAX_SOLUTIONS:
         raise ValueError(f"top_k must be in [1, {MAX_SOLUTIONS}], got {top_k}")
     work = _as_positive_ising(model)
@@ -403,9 +415,7 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     }
     result = SolveResult(solutions, meta, work)
     if config.readout_flip_prob > 0.0:
-        result = apply_readout_noise(
-            result, config.readout_flip_prob, (config.seed ^ _READOUT_SALT) & _SEED_MASK
-        )
+        result = apply_readout_noise(result, config.readout_flip_prob, config.seed ^ _READOUT_SALT)
     return result
 
 
@@ -414,14 +424,17 @@ def apply_readout_noise(result: SolveResult, p: float, seed: int) -> SolveResult
 
     Energies are recomputed under the solved model and the list re-sorted
     (and re-deduplicated, since flips can collide vectors). p = 0 returns
-    the result unchanged.
+    the result unchanged. The seed follows SolverConfig's rule: an int in
+    [0, 2**64).
     """
+    require_type([p], (int, float), "flip probability")
+    _require_seed(seed)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"flip probability must be in [0, 1), got {p}")
     if p == 0.0:
         return result
     spins = np.array([vec for vec, _ in result.solutions])
-    flips = np.random.default_rng(seed & _SEED_MASK).random(spins.shape) < p
+    flips = np.random.default_rng(seed).random(spins.shape) < p
     solutions = _rank(np.where(flips, -spins, spins), result.model, len(spins))
     meta = dict(result.meta)
     meta["readout_flip_prob"] = p

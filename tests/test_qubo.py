@@ -1,6 +1,7 @@
 """Core model types: energies, penalties, conversion, quantization."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from cimopt.errors import DegenerateMatrixError, DimensionError
 from cimopt.qubo import (
     IsingConvention,
     IsingModel,
+    QuantizationReport,
+    QuantizedQubo,
     QuboBuilder,
     QuboMatrix,
     _round_to_int8,
@@ -399,6 +402,177 @@ class TestArrayCore:
             q.vals[0] = 9.0
         assert QuboMatrix(q.n, q.diag, q.upper, q.offset) == q
         assert pickle.loads(pickle.dumps(q)) == q
+
+
+def pair_view(model):
+    """``upper``, ``J`` or ``int_upper``, whichever the model has."""
+    return getattr(model, model._NAMES[1])
+
+
+def oracle(model) -> dict:
+    """The dict the pair views replace."""
+    return dict(zip(zip(model.rows.tolist(), model.cols.tolist()), model.vals.tolist()))
+
+
+@st.composite
+def pair_models(draw):
+    """A QuboMatrix, IsingModel or QuantizedQubo of 1-6 variables and 0-15 pairs."""
+    n = draw(st.integers(1, 6))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    kind = draw(st.sampled_from([QuboMatrix, IsingModel, QuantizedQubo]))
+    if kind is QuantizedQubo:
+        upper = {p: draw(st.integers(-128, 127)) for p in chosen}
+        return QuantizedQubo(n, [1] * n, upper, 1.0, QuantizationReport(0.0, 0.0, 127.0))
+    number = st.integers(-9, 9) | st.floats(-1e3, 1e3, allow_nan=False)  # ints are stored as floats
+    return kind(n, [1.0] * n, {p: draw(number) for p in chosen})
+
+
+def outcome(f, *args):
+    """What a call returns, with its type, or the type of what it raises."""
+    try:
+        value = f(*args)
+    except (KeyError, TypeError) as exc:
+        return type(exc)
+    return value, type(value)
+
+
+def probe_keys(n):
+    """Every key kind a dict lookup treats differently; the lists are unhashable."""
+    ints = [(i, j) for i in range(-1, n + 2) for j in range(-1, n + 2)]  # in and out of range, reversed
+    return ints + [
+        (np.int64(0), np.int32(1)), (np.uint8(1), np.intp(2)), (False, True), (True, 2), (0.0, 1.0),
+        (np.float64(1.0), 2), (0.5, 1), (0, 1.5), ("0", "1"), "01", (0,), (0, 1, 2), None, 1, 2**70,
+        (2**70, 2**71), (float("nan"), 1), (float("inf"), 1), [0, 1], ([0], 1), {}, (0, [1]),
+    ]
+
+
+class TestPairViews:
+    @given(pair_models())
+    @settings(max_examples=150, deadline=None)
+    def test_behaves_like_the_dict(self, model):
+        view, expected = pair_view(model), oracle(model)
+        assert view == expected and expected == view and not view != expected and not expected != view
+        assert len(view) == len(expected) and list(view) == list(expected)
+        for name in ("keys", "values", "items"):
+            assert len(getattr(view, name)()) == len(expected)
+            assert list(getattr(view, name)()) == list(getattr(expected, name)())
+        assert [type(v) for v in view.values()] == [type(v) for v in expected.values()]
+        for key in probe_keys(model.n):
+            assert outcome(view.__getitem__, key) == outcome(expected.__getitem__, key), key
+            for ask in ("__contains__", "get"):
+                assert outcome(getattr(view, ask), key) == outcome(getattr(expected, ask), key), key
+            assert outcome(view.get, key, "absent") == outcome(expected.get, key, "absent"), key
+            assert outcome(view.keys().__contains__, key) == outcome(expected.keys().__contains__, key), key
+            stored = outcome(expected.get, key)
+            for value in (1.0, stored[0] if type(stored) is tuple else None):
+                item = (key, value)
+                assert outcome(view.items().__contains__, item) == outcome(expected.items().__contains__, item)
+        for item in (5, None, ((0, 1),), [(0, 1), 1.0], ((0, 1), 1.0, 2)):  # not pairs: absent
+            assert (item in view.items()) is (item in expected.items()) is False
+        for value in [*expected.values(), 1e9, 0.25, "x", None]:
+            assert (value in view.values()) is (value in expected.values())
+
+    @given(pair_models(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_unequal_to_another_dict(self, model, data):
+        view, expected = pair_view(model), oracle(model)
+        other = dict(expected)
+        if other and data.draw(st.booleans()):
+            key = data.draw(st.sampled_from(sorted(other)))
+            other[key] += 1
+        else:
+            other[(model.n, model.n + 1)] = 1.0
+        assert view != other and other != view and not view == other
+        assert view != list(expected.items()) and view != None  # noqa: E711
+
+    @given(pair_models())
+    @settings(max_examples=30, deadline=None)
+    def test_read_only(self, model):
+        view = pair_view(model)
+        with pytest.raises(TypeError):
+            view[(0, 1)] = 1
+        with pytest.raises(TypeError):
+            del view[next(iter(view), (0, 1))]
+        with pytest.raises(TypeError):
+            hash(view)
+        assert pair_view(model) == oracle(model)
+
+    def test_views_of_equal_models_are_equal(self):
+        q = QuboMatrix(3, [1.0, 2.0, 3.0], {(0, 1): 2.0, (1, 2): -1.0})
+        assert q.upper == QuboMatrix(3, [0.0] * 3, {(1, 2): -1.0, (0, 1): 2.0}).upper
+        assert q.upper != QuboMatrix(3, [0.0] * 3, {(0, 1): 2.0}).upper
+        assert quantize_int8(q).int_upper == {(0, 1): 85, (1, 2): -42}
+        assert QuboMatrix(3, [0.0] * 3, {(0, 1): 85.0, (1, 2): -42.0}).upper == quantize_int8(q).int_upper
+
+
+def large_model():
+    """About 233k pairs over 3,000 variables."""
+    rng = np.random.default_rng(3000)
+    n, draws = 3000, 240_000
+    builder = QuboBuilder(n)
+    builder.add_diag(np.arange(n), rng.uniform(-50.0, 50.0, n))
+    i = rng.integers(0, n, draws)
+    builder.add_pairs(i, (i + rng.integers(1, n, draws)) % n, rng.uniform(-10.0, 10.0, draws))
+    return builder.build()
+
+
+def traced_peak(f):
+    """f's result and the peak memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        result = f()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLargePairViews:
+    """Building the dict took 47 MB; the views stay within a few."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        q = large_model()
+        assert q.vals.size > 200_000
+        return q, qubo_to_ising(q, IsingConvention.NEGATED_SUM), quantize_int8(q)
+
+    def test_len_lookups_and_iteration_are_bounded(self, models):
+        rng = np.random.default_rng(7)
+        for model in models:
+            n, size = model.n, model.vals.size
+            stored = rng.integers(0, size, 1000)
+            keys = list(zip(model.rows[stored].tolist(), model.cols[stored].tolist()))
+            i, j = rng.integers(0, n - 1, 200), rng.integers(1, n, 200)
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            absent = ~np.isin(lo * n + hi, model.rows * n + model.cols) & (lo < hi)
+            missing = list(zip(lo[absent].tolist(), hi[absent].tolist()))
+            length, peak = traced_peak(lambda: len(pair_view(model)))
+            assert length == size and peak < 2**20
+            found, peak = traced_peak(lambda: [pair_view(model)[key] for key in keys])
+            assert found == model.vals[stored].tolist() and peak < 2**20
+            assert not any(key in pair_view(model) for key in missing)
+            count, peak = traced_peak(lambda: sum(1 for _ in pair_view(model).items()))
+            assert count == size and peak < 4 * 2**20
+
+    def test_iteration_crosses_chunks_in_stored_order(self, models):
+        for model in models:
+            view, rows, cols, vals = pair_view(model), model.rows.tolist(), model.cols.tolist(), model.vals.tolist()
+            assert list(view) == list(zip(rows, cols))
+            assert list(view.values()) == vals
+            assert list(view.items()) == list(zip(zip(rows, cols), vals))
+
+    def test_rebuilding_from_a_view_reuses_the_arrays(self, models):
+        q, m, qq = models
+        rebuilt, peak = traced_peak(lambda: QuboMatrix(q.n, q.diag, q.upper, q.offset))
+        assert rebuilt == q and rebuilt.vals is q.vals and peak < 8 * 2**20
+        assert IsingModel(m.n, m.h, m.J, m.offset, m.convention) == m
+        assert QuantizedQubo(qq.n, qq.int_diag, qq.int_upper, qq.scale, qq.report) == qq
+        floats = QuboMatrix(qq.n, qq.int_diag, qq.int_upper)  # int values become floats
+        assert floats.vals.dtype == np.float64 and np.array_equal(floats.vals, qq.vals)
+        with pytest.raises(ValueError, match="upper-triangular"):
+            QuboMatrix(q.n - 1, q.diag[:-1], q.upper)  # every check still runs
+        with pytest.raises(ValueError, match="not finite"):
+            QuboMatrix(q.n, [np.inf, *q.diag[1:]], q.upper)
 
 
 class TestBatchKernel:

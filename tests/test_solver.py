@@ -316,6 +316,56 @@ class TestSolverConfig:
         result = solve_annealed(q, SolverConfig(sweeps=5, restarts=1, emulate_latency_ms=10))
         assert result.meta["wall_time_ms"] == 10
 
+    @pytest.mark.parametrize("setting", [
+        {"sweeps": True},  # ran one sweep and recorded "sweeps": true
+        {"seed": True},
+        {"emulate_latency_ms": 0.5},  # was reported as wall time 0.5
+        {"sweeps": 2.5},  # these four passed here and failed in _anneal_pool or _rank
+        {"restarts": 2.0},
+        {"top_k": 3.0},
+        {"seed": 1.5},
+        {"sweeps": "10"},
+        {"restarts": np.int64(2)},
+        {"readout_flip_prob": True},
+        {"readout_flip_prob": "0.1"},
+        {"temp_initial": True, "temp_final": 0.5},
+        {"temp_initial": 2.0, "temp_final": np.float64(0.5)},
+    ])
+    def test_settings_of_the_wrong_type_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be"):
+            SolverConfig(**setting)
+
+    def test_int_and_float_settings_accepted(self):
+        config = SolverConfig(sweeps=5, restarts=1, temp_initial=2, temp_final=0.5, readout_flip_prob=0)
+        assert solve_annealed(TWO_VAR, config).meta["temp_initial"] == 2.0
+
+    @pytest.mark.parametrize("top_k", [True, 1.0, 2.5])
+    def test_exact_top_k_must_be_an_int(self, top_k):
+        # top_k=True ran as top_k=1
+        with pytest.raises(ValueError, match="top_k must be int"):
+            solve_exact(TWO_VAR, top_k=top_k)
+
+
+class TestReadoutSeed:
+    @pytest.mark.parametrize("seed", [2**64, -(2**64), -1, 2**70])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        # 2**64 and -2**64 were masked to seed 0's flips while meta reported the unmasked value
+        with pytest.raises(ValueError, match="non-negative 64-bit integer"):
+            apply_readout_noise(solve_exact(TWO_VAR), 0.3, seed)
+
+    @pytest.mark.parametrize("seed", [True, 1.0, np.uint64(1)])
+    def test_seed_must_be_an_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be int"):
+            apply_readout_noise(solve_exact(TWO_VAR), 0.3, seed)
+
+    def test_flip_probability_must_be_a_number(self):
+        with pytest.raises(ValueError, match="flip probability must be"):
+            apply_readout_noise(solve_exact(TWO_VAR), False, 1)
+
+    def test_largest_seed_accepted_and_reported(self):
+        noisy = apply_readout_noise(solve_exact(TWO_VAR), 0.3, 2**64 - 1)
+        assert noisy.meta["readout_seed"] == 2**64 - 1
+
 
 def bundled_fjsp():
     inst = instance_from_doc(json.loads((FIXTURES / "fjsp_3x3.json").read_text()))
