@@ -106,9 +106,7 @@ class _Terms:
             raise ValueError(f"need at least one variable, got n={n}")
         if (lin := _frozen(lin, dtype)).shape != (n,):
             raise DimensionError(f"{lin_name} has {lin.size} entries for n={n}")
-        if isinstance(pairs, _PairView):  # another model's arrays, not 200k tuples
-            pairs = _Pairs(pairs._m.rows, pairs._m.cols, pairs._m.vals)
-        elif not isinstance(pairs, _Pairs):
+        if not isinstance(pairs, _Pairs):
             ij = np.array(list(pairs)) if pairs else np.empty((0, 2), dtype=np.intp)
             if ij.dtype.kind not in "iu" or ij.shape != (len(pairs), 2):
                 raise ValueError(f"{pair_name} keys must be integer pairs (i, j)")
@@ -215,14 +213,6 @@ class _PairView(Mapping):
     def items(self) -> ItemsView:
         return _PairItems(self)
 
-    def __eq__(self, other):
-        if isinstance(other, _PairView):
-            return all(np.array_equal(getattr(self._m, f), getattr(other._m, f)) for f in ("rows", "cols", "vals"))
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        absent = object()
-        return len(self) == len(other) and all(v == other.get(k, absent) for k, v in self.items())
-
     def __repr__(self) -> str:
         return f"<pairs of {self._m!r}>"
 
@@ -233,9 +223,6 @@ class _PairValues(ValuesView):
     def __iter__(self):
         for (vals,) in self._mapping._chunks(self._mapping._m.vals):
             yield from vals
-
-    def __contains__(self, value) -> bool:
-        return any(v is value or v == value for v in self)
 
 
 class _PairItems(ItemsView):
@@ -264,8 +251,7 @@ class QuboMatrix(_Terms):
     ``diag`` is a tuple built from ``lin`` on each access. ``upper`` is a
     read-only Mapping over the pair arrays that copies nothing and compares
     equal to the matching dict: ``len`` in constant time, lookup by binary
-    search, iteration in fixed-size chunks. Passing it back in, as in
-    ``QuboMatrix(q.n, q.diag, q.upper, q.offset)``, reuses the arrays.
+    search, iteration in fixed-size chunks.
     """
 
     __slots__ = ("offset",)
