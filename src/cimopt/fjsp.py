@@ -63,10 +63,10 @@ class Job:
 class FjspInstance:
     """Jobs, machines, and the scheduling horizon t_max.
 
-    Operations within a job run in sequence; every operation needs at least
-    one eligible machine and processing times are positive integers. Horizon
-    feasibility is checked by prune_variables, not here, so deliberately
-    tight horizons can be probed.
+    machines (>= 1), t_max (>= 0) and processing times (>= 1) are ints, never
+    bools; None marks an ineligible machine. Operations within a job run in
+    sequence and each needs an eligible machine. Horizon feasibility is
+    checked by prune_variables, not here, so tight horizons can be probed.
     """
 
     machines: int
@@ -74,6 +74,7 @@ class FjspInstance:
     jobs: tuple[Job, ...]
 
     def __post_init__(self):
+        require_type([self.machines, self.t_max], (int,), "machines and t_max")
         if self.machines < 1:
             raise ValueError(f"machines must be >= 1, got {self.machines}")
         if self.t_max < 0:
@@ -85,13 +86,12 @@ class FjspInstance:
                 raise ValueError(f"job {j} has no operations")
             for h, op in enumerate(job.operations):
                 if len(op.times) != self.machines:
-                    raise DimensionError(
-                        f"operation ({j}, {h}) lists {len(op.times)} machines, expected {self.machines}"
-                    )
+                    raise DimensionError(f"operation ({j}, {h}) lists {len(op.times)} machines, expected {self.machines}")
                 if not op.eligible():
                     raise ValueError(f"operation ({j}, {h}) has no eligible machine")
+                require_type((p for p in op.times if p is not None), (int,), "processing times")
                 for i, p in enumerate(op.times):
-                    if p is not None and (not isinstance(p, int) or p < 1):
+                    if p is not None and p < 1:
                         raise ValueError(
                             f"operation ({j}, {h}) has processing time {p!r} on machine {i}; "
                             "times must be integers >= 1"
@@ -99,13 +99,7 @@ class FjspInstance:
 
     @classmethod
     def build(cls, machines: int, t_max: int, jobs: Sequence[Sequence[Sequence[int | None]]]) -> "FjspInstance":
-        return cls(
-            machines=machines,
-            t_max=t_max,
-            jobs=tuple(
-                Job(tuple(Operation(tuple(times)) for times in ops)) for ops in jobs
-            ),
-        )
+        return cls(machines, t_max, tuple(Job(tuple(Operation(tuple(times)) for times in ops)) for ops in jobs))
 
     def operation(self, job: int, op: int) -> Operation:
         return self.jobs[job].operations[op]
@@ -160,12 +154,15 @@ class TimedVariable:
 
 @dataclass(frozen=True)
 class VariableIndex:
-    """Dense indexing of the variables that survive pruning."""
+    """Dense indexing of the variables that survive pruning. ``raw_count``
+    and each entry's job, op, machine and start are ints, never bools."""
 
     entries: tuple[TimedVariable, ...]
     raw_count: int
 
     def __post_init__(self):
+        require_type([self.raw_count], (int,), "raw_count")
+        require_type((v for e in self.entries for v in (e.job, e.op, e.machine, e.start)), (int,), "index entry fields")
         object.__setattr__(
             self, "_position", {entry: k for k, entry in enumerate(self.entries)}
         )
@@ -484,8 +481,9 @@ def decode_schedule(
 
 
 def _processing_time(inst: FjspInstance, job: int, op: int, machine: int, start: int) -> int:
-    """The time of operation (job, op) on machine, after checking that the
-    operation exists, the machine is eligible for it and start >= 0."""
+    """The time of operation (job, op) on machine, after checking that all four
+    are ints, the operation exists, the machine is eligible and start >= 0."""
+    require_type([job, op, machine, start], (int,), f"schedule entry ({job}, {op})")
     if not (0 <= job < len(inst.jobs) and 0 <= op < len(inst.jobs[job].operations) and 0 <= machine < inst.machines):
         raise ValueError(f"schedule entry ({job}, {op}) on machine {machine} names no operation of the instance")
     if start < 0:
@@ -497,7 +495,7 @@ def _processing_time(inst: FjspInstance, job: int, op: int, machine: int, start:
 
 
 def diagnose_schedule(inst: FjspInstance, schedule: Schedule) -> FjspDiagnostics:
-    """Validate an explicit schedule against the instance rule set."""
+    """Validate an explicit schedule, of int placements, against the instance rule set."""
     selected: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for entry in schedule.entries:
         p = _processing_time(inst, entry.job, entry.op, entry.machine, entry.start)
@@ -623,9 +621,6 @@ def instance_from_doc(doc: Mapping) -> FjspInstance:
             raise ValueError(f"instance document is missing field {fieldname!r}")
     try:
         jobs = [[op["times"] for op in job["operations"]] for job in doc["jobs"]]
-        times = [t for ops in jobs for op_times in ops for t in op_times if t is not None]
-        require_type([doc["machines"], doc["t_max"]], (int,), "machines and t_max")
-        require_type(times, (int,), "processing times")
         return FjspInstance.build(doc["machines"], doc["t_max"], jobs)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance document: field {exc}") from exc
@@ -649,8 +644,8 @@ def schedule_from_doc(inst: FjspInstance, doc) -> Schedule:
         fields = ("job", "op", "machine", "start")
         if not isinstance(item, Mapping) or not all(f in item for f in fields):
             raise ValueError(f"schedule entry {item!r} must be an object with fields {', '.join(fields)}")
-        fields += ("end",) if "end" in item else ()
-        job, op, machine, start, *end = require_type((item[f] for f in fields), (int,), f"schedule entry {item}")
+        job, op, machine, start = (item[f] for f in fields)
         p = _processing_time(inst, job, op, machine, start)
-        out.append(ScheduleEntry(job, op, machine, start, end[0] if end else start + p))
+        (end,) = require_type([item.get("end", start + p)], (int,), f"schedule entry {item}")
+        out.append(ScheduleEntry(job, op, machine, start, end))
     return Schedule(tuple(sorted(out, key=lambda e: (e.job, e.op))))

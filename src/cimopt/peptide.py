@@ -137,9 +137,23 @@ def default_position_count(calibrated_mass: float) -> int:
     return max(1, round(calibrated_mass / _MEAN_RESIDUE))
 
 
+def _finite_mass(value, name: str) -> float:
+    """The value as a float, after checking it is a finite int or float."""
+    (value,) = require_type([value], (int, float), name)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer too large for a float
+        raise ValueError(f"{name} is out of range") from None
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 @dataclass(frozen=True)
 class PeptideProblem:
-    """A composition-inference task: calibrated target mass and slot count."""
+    """A composition-inference task: calibrated target mass and slot count.
+    Masses are positive finite ints or floats, stored as floats; positions
+    is an int >= 1, half_water_per_acid a bool and label a str or None."""
 
     target_mass_raw: float
     calibrated_mass: float
@@ -149,6 +163,13 @@ class PeptideProblem:
     label: str | None = None
 
     def __post_init__(self):
+        require_type([self.positions], (int,), "positions")
+        require_type([self.half_water_per_acid], (bool,), "half_water_per_acid")
+        require_type([] if self.label is None else [self.label], (str,), "label")
+        object.__setattr__(self, "target_mass_raw", _finite_mass(self.target_mass_raw, "target_mass"))
+        object.__setattr__(self, "calibrated_mass", _finite_mass(self.calibrated_mass, "calibrated_mass"))
+        if not self.target_mass_raw > 0:
+            raise ValueError(f"target_mass must be positive, got {self.target_mass_raw}")
         if self.positions < 1:
             raise ValueError(f"positions must be >= 1, got {self.positions}")
         if not self.calibrated_mass > 0:
@@ -198,7 +219,8 @@ class PeptideWeights:
 
 @dataclass(frozen=True)
 class CountEncodingConfig:
-    """Legacy encoding: each acid's copy number as a little-endian bit field."""
+    """Legacy encoding: each acid's copy number as a little-endian bit field
+    of ``bits_per_acid`` bits, an int in [1, 8]; the weights may be 0."""
 
     bits_per_acid: int = 5
     mass_weight: float = 1.0
@@ -206,6 +228,7 @@ class CountEncodingConfig:
     length_mid: float = 0.0
 
     def __post_init__(self):
+        require_type([self.bits_per_acid], (int,), "bits_per_acid")
         if not 1 <= self.bits_per_acid <= 8:
             raise ValueError(f"bits_per_acid must be in [1, 8], got {self.bits_per_acid}")
         require_weights({"mass_weight": self.mass_weight, "length_weight": self.length_weight}, positive=False)
@@ -433,54 +456,30 @@ def problem_to_doc(problem: PeptideProblem) -> dict:
     }
 
 
-def _finite_mass(doc: Mapping, name: str) -> float:
-    (value,) = require_type([doc[name]], (int, float), name)
-    try:
-        value = float(value)
-    except OverflowError:  # a JSON integer too large for a float
-        raise ValueError(f"{name} is out of range") from None
-    if not math.isfinite(value):  # json reads NaN and Infinity
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
 def problem_from_doc(doc: Mapping) -> PeptideProblem:
     """Read a problem document strictly.
 
     A stated ``calibrated_mass`` (as ``problem_to_doc`` writes it) is the
-    calibrated mass, so it needs ``"calibration": "none"`` and a positive
-    ``target_mass``; without it the mass is calibrated as ``make_problem``
-    does.
+    calibrated mass, so it needs ``"calibration": "none"``; without it the
+    mass is calibrated as ``make_problem`` does. ``PeptideProblem`` checks
+    the fields; the masses are checked here first, as the default position
+    count is computed from them.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
     if "target_mass" not in doc:
         raise ValueError("problem document is missing field 'target_mass'")
-    target_mass = _finite_mass(doc, "target_mass")
-    positions = doc.get("positions")
-    if positions is not None:
-        require_type([positions], (int,), "positions")
-    (half_water,) = require_type([doc.get("half_water_per_acid", False)], (bool,), "half_water_per_acid")
+    target_mass = _finite_mass(doc["target_mass"], "target_mass")
     table, calibration = require_type(
         [doc.get("mass_table", "average"), doc.get("calibration", "none")], (str,), "mass_table and calibration"
     )
-    label = doc.get("label")
-    if label is not None:
-        require_type([label], (str,), "label")
+    if "calibrated_mass" in doc and calibration != "none":
+        raise ValueError(f"a stated calibrated_mass needs calibration 'none', got {calibration!r}")
     if "calibrated_mass" in doc:
-        if calibration != "none":
-            raise ValueError(f"a stated calibrated_mass needs calibration 'none', got {calibration!r}")
-        if not target_mass > 0:
-            raise ValueError(f"target_mass must be positive, got {target_mass}")
-        calibrated = _finite_mass(doc, "calibrated_mass")
-        if positions is None:
-            positions = default_position_count(calibrated)
-        return PeptideProblem(target_mass, calibrated, positions, table, half_water, label)
-    return make_problem(
-        target_mass=target_mass,
-        positions=positions,
-        table=table,
-        calibration=calibration,
-        half_water_per_acid=half_water,
-        label=label,
-    )
+        calibrated = _finite_mass(doc["calibrated_mass"], "calibrated_mass")
+    else:
+        calibrated = calibrate_mass(target_mass, calibration, table)
+    positions = doc.get("positions")
+    positions = default_position_count(calibrated) if positions is None else positions
+    half_water, label = doc.get("half_water_per_acid", False), doc.get("label")
+    return PeptideProblem(target_mass, calibrated, positions, table, half_water, label)

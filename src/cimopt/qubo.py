@@ -73,10 +73,13 @@ class _Pairs(NamedTuple):  # COO pair arrays: how a model is built without a dic
 def _frozen(values, dtype) -> np.ndarray:
     """A read-only array of ``dtype``, copied unless it is one already.
 
-    Raises ValueError for a value ``dtype`` cannot hold, such as a JSON
-    integer too large for a float.
+    Raises ValueError for bools, strings and a value ``dtype`` cannot hold,
+    such as a JSON integer too large for a float. A mixed list such as
+    ``[True, 2.0]`` is float to numpy; the document readers reject it.
     """
     a = np.asarray(values)
+    if a.dtype.kind in "bSU":
+        raise ValueError(f"coefficients must be numbers, got {'bools' if a.dtype.kind == 'b' else 'strings'}")
     if a.dtype != dtype or a.flags.writeable:
         try:
             a = a.astype(dtype)
@@ -102,6 +105,8 @@ class _Terms:
     def _store(self, n, lin, pairs: Mapping, dtype=np.float64, **scalars) -> None:
         """Validate once, by vectorized checks, and freeze the arrays."""
         lin_name, pair_name = self._NAMES
+        if isinstance(n, bool):
+            raise ValueError(f"n must be an integer, got {n!r}")
         if (n := operator.index(n)) < 1:
             raise ValueError(f"need at least one variable, got n={n}")
         if (lin := _frozen(lin, dtype)).shape != (n,):

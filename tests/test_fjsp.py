@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cimopt import fjsp
@@ -36,6 +36,7 @@ from cimopt.qubo import qubo_energy
 from conftest import (
     JSON_SCALARS,
     JSON_VALUES,
+    TABLE1,
     enum_qubo_energies,
     index_bits,
     random_fjsp_instance,
@@ -276,6 +277,21 @@ class TestBuildQubo:
         with pytest.raises(DimensionError, match=r"index entry .* uses an ineligible machine"):
             build_qubo(inst, FjspWeights(1.0, 1.0, 1.0, 1.0), bad)
 
+    @pytest.mark.parametrize(
+        "extra, raw_count, message",
+        [
+            # the int64 cast of the index check truncated 2.5 to 2: a 265-variable model
+            ((TimedVariable(0, 0, 0, 2.5),), 513, "index entry fields must be int, got 2.5"),
+            ((TimedVariable(0, 0, True, 2),), 513, "index entry fields must be int, got True"),
+            ((TimedVariable(0.0, 0, 0, 2),), 513, "index entry fields must be int, got 0.0"),
+            ((), 513.0, "raw_count must be int, got 513.0"),
+        ],
+    )
+    def test_index_fields_must_be_ints(self, table1_index, extra, raw_count, message):
+        assert table1_index.raw_count == 513
+        with pytest.raises(ValueError, match=message):
+            VariableIndex(table1_index.entries + extra, raw_count)
+
 
 H3_WEIGHTS = [FjspWeights(150, 100, 100, 15), FjspWeights(1.3, 0.7, 2.9, 0.1)]
 
@@ -490,6 +506,9 @@ class TestJsonAndGantt:
                 assert a_hi <= b_lo
 
 
+TIME = st.integers(0, 3) | st.none() | JSON_SCALARS
+
+
 class TestInstanceValidation:
     def test_rejects_zero_time(self):
         with pytest.raises(ValueError):
@@ -498,6 +517,37 @@ class TestInstanceValidation:
     def test_rejects_no_eligible_machine(self):
         with pytest.raises(ValueError):
             FjspInstance.build(2, 5, [[[None, None]]])
+
+    @pytest.mark.parametrize(
+        "machines, t_max, time, message",
+        [
+            (3.0, 18, 3, "machines and t_max must be int, got 3.0"),
+            (3, 18.5, 3, "machines and t_max must be int, got 18.5"),
+            (3, True, 3, "machines and t_max must be int, got True"),
+            (3, 18, True, "processing times must be int, got True"),
+            (3, 18, 3.0, "processing times must be int, got 3.0"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, machines, t_max, time, message):
+        jobs = [[list(times) for times in ops] for ops in TABLE1]
+        jobs[0][0][0] = time
+        with pytest.raises(ValueError, match=message):
+            FjspInstance.build(machines, t_max, jobs)
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.integers(0, 2) | JSON_SCALARS,
+        st.integers(-1, 8) | JSON_SCALARS,
+        st.lists(st.lists(st.lists(TIME, min_size=1, max_size=2), max_size=2), max_size=2),
+    )
+    @example(1.0, 5, [[[2]]])
+    @example(1, 5, [[[True]]])
+    def test_what_the_constructor_accepts_reads_back_equal(self, machines, t_max, jobs):
+        try:
+            inst = FjspInstance.build(machines, t_max, jobs)
+        except ValueError:
+            return
+        assert instance_from_doc(instance_to_doc(inst)) == inst
 
     def test_weights_reject_negative(self):
         with pytest.raises(ValueError):
@@ -550,6 +600,14 @@ class TestDocumentRejection:
         bad = Schedule((ScheduleEntry(**entry, end=entry["start"] + 3),))
         with pytest.raises(ValueError, match=r"schedule entry \(-?\d+, -?\d+\)"):
             diagnose_schedule(table1, bad)
+
+    @pytest.mark.parametrize("field, value", [("job", True), ("op", 0.0), ("machine", False), ("start", 0.5)])
+    def test_diagnose_rejects_non_integer_placements(self, table1, field, value):
+        # schedule_from_doc rejects these; diagnose_schedule read start 0.5 as a placement
+        entry = {"job": 0, "op": 0, "machine": 0, "start": 0, field: value}
+        schedule = Schedule((ScheduleEntry(**entry, end=entry["start"] + 3),))
+        with pytest.raises(ValueError, match="must be int"):
+            diagnose_schedule(table1, schedule)
 
     def test_ineligible_machine_rejected(self):
         inst = FjspInstance.build(2, 6, [[[1, None]], [[None, 2]]])

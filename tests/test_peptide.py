@@ -15,6 +15,7 @@ from cimopt.peptide import (
     STANDARD_AMINO_ACIDS,
     CompositionSolution,
     CountEncodingConfig,
+    PeptideProblem,
     PeptideWeights,
     build_count_qubo,
     build_onehot_qubo,
@@ -237,6 +238,10 @@ class TestCountBuilder:
             CountEncodingConfig(bits_per_acid=0)
         with pytest.raises(ValueError):
             CountEncodingConfig(bits_per_acid=9)
+        with pytest.raises(ValueError, match="bits_per_acid must be int, got 2.5"):
+            CountEncodingConfig(bits_per_acid=2.5)  # used to fail later, in build_count_qubo
+        with pytest.raises(ValueError, match="bits_per_acid must be int, got True"):
+            CountEncodingConfig(bits_per_acid=True)  # used to run as 1
         with pytest.raises(ValueError):
             CountEncodingConfig(mass_weight=-1.0)
 
@@ -427,3 +432,57 @@ class TestProblemDocs:
             {"target_mass": 1466.78, "calibration": "subtract_water", "positions": 13}
         )
         assert problem.calibrated_mass == pytest.approx(1448.765, abs=0.01)
+
+
+class TestProblemValidation:
+    """PeptideProblem checks its own fields, so API callers get the rules
+    problem documents get."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"positions": 13.5}, "positions must be int, got 13.5"),
+            ({"half_water_per_acid": "false"}, "half_water_per_acid must be bool, got 'false'"),
+            ({"label": 4}, "label must be str, got 4"),
+            ({"target_mass_raw": math.nan}, "target_mass must be finite, got nan"),
+            ({"calibrated_mass": math.inf}, "calibrated_mass must be finite, got inf"),
+            ({"calibrated_mass": 10**400}, "calibrated_mass is out of range"),
+            ({"calibrated_mass": "1448.77"}, "calibrated_mass must be int or float"),
+            ({"target_mass_raw": -1.0}, "target_mass must be positive, got -1.0"),
+        ],
+    )
+    def test_rejected_at_construction(self, change, message):
+        fields = {"target_mass_raw": 1448.77, "calibrated_mass": 1448.77, "positions": 13, **change}
+        with pytest.raises(ValueError, match=message):
+            PeptideProblem(**fields)
+
+    def test_masses_are_stored_as_floats(self):
+        problem = PeptideProblem(1448, 1448, 13)
+        assert type(problem.target_mass_raw) is float and type(problem.calibrated_mass) is float
+        big = PeptideProblem(2**53 + 1, 2**53 + 1, 1)  # not a float: it would not read back equal
+        assert problem_from_doc(problem_to_doc(big)) == big
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "target_mass_raw": st.floats() | st.integers() | JSON_SCALARS,
+                "calibrated_mass": st.floats() | st.integers() | JSON_SCALARS,
+                "positions": st.integers(-1, 20) | JSON_SCALARS,
+            },
+            optional={
+                "table": st.sampled_from(["average", "monoisotopic", "other"]) | JSON_SCALARS,
+                "half_water_per_acid": JSON_SCALARS,
+                "label": JSON_SCALARS,
+            },
+        )
+    )
+    @example({"target_mass_raw": 1448.77, "calibrated_mass": 1448.77, "positions": 13, "half_water_per_acid": "false"})
+    @example({"target_mass_raw": 1448.77, "calibrated_mass": 1448.77, "positions": 13, "label": 4})
+    @example({"target_mass_raw": -1.0, "calibrated_mass": 1448.77, "positions": 13})
+    def test_what_the_constructor_accepts_reads_back_equal(self, fields):
+        try:
+            problem = PeptideProblem(**fields)
+        except ValueError:
+            return
+        assert problem_from_doc(problem_to_doc(problem)) == problem

@@ -403,6 +403,21 @@ class TestArrayCore:
         assert QuboMatrix(q.n, q.diag, q.upper, q.offset) == q
         assert pickle.loads(pickle.dumps(q)) == q
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: QuboMatrix(2, ["1", "2"], {}), "must be numbers, got strings"),  # read as diag (1.0, 2.0)
+            (lambda: QuboMatrix(2, [True, False], {}), "must be numbers, got bools"),
+            (lambda: IsingModel(2, [0.0, 0.0], {(0, 1): "0.5"}), "must be numbers, got strings"),
+            (lambda: QuboMatrix(2, [0.0, 0.0], {}, offset=True), "must be numbers, got bools"),
+            (lambda: QuboMatrix(True, [1.0], {}), "n must be an integer, got True"),  # read as n = 1
+            (lambda: QuantizedQubo(1, [True], {}, 1.0, QuantizationReport(0.0, 0.0, 1.0)), "got bools"),
+        ],
+    )
+    def test_bools_and_strings_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def pair_view(model):
     """``upper``, ``J`` or ``int_upper``, whichever the model has."""
