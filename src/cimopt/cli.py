@@ -17,6 +17,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -217,13 +218,7 @@ def cmd_peptide(args) -> int:
                 "weights": report.incumbent_weights,
                 "composition": (report.incumbent_payload or {}).get("composition"),
             },
-            "coefficient_stats": {
-                "max_abs": stats.max_abs,
-                "min_nonzero_abs": stats.min_nonzero_abs,
-                "dynamic_range_orders": stats.dynamic_range_orders,
-                "near_zero_fraction": stats.near_zero_fraction,
-                "threshold": stats.threshold,
-            },
+            "coefficient_stats": asdict(stats),
         }
         if report.feasible:
             return fields, f"best deviation {report.incumbent_metric:.4f} Da over {report.iterations_run} iteration(s)"
@@ -240,22 +235,6 @@ def _load_model(path: str):
 
 
 def cmd_qubo(args) -> int:
-    if args.action == "to-ising":
-        model = qubo.qubo_from_doc(_load_json(args.model))
-        convention = qubo.IsingConvention(args.convention)
-        doc = qubo.ising_to_doc(qubo.qubo_to_ising(model, convention))
-        print(json.dumps(doc, sort_keys=True))
-        if args.out:
-            _dump_json(doc, Path(args.out))
-        return EXIT_OK
-    if args.action == "quantize":
-        model = qubo.qubo_from_doc(_load_json(args.model))
-        quantized = qubo.quantize_int8(model)
-        doc = qubo.quantized_to_doc(quantized)
-        print(json.dumps(doc, sort_keys=True))
-        if args.out:
-            _dump_json(doc, Path(args.out))
-        return EXIT_OK
     if args.action == "energy":
         if args.bits is None:
             raise ValueError("energy needs --bits, e.g. --bits 0110")
@@ -267,7 +246,15 @@ def cmd_qubo(args) -> int:
             energy = qubo.ising_energy(model, [2 * v - 1 for v in values])
         print(energy)
         return EXIT_OK
-    raise ValueError(f"unknown qubo action {args.action!r}")
+    model = qubo.qubo_from_doc(_load_json(args.model))
+    if args.action == "to-ising":
+        doc = qubo.ising_to_doc(qubo.qubo_to_ising(model, qubo.IsingConvention(args.convention)))
+    else:
+        doc = qubo.quantized_to_doc(qubo.quantize_int8(model))
+    print(json.dumps(doc, sort_keys=True))
+    if args.out:
+        _dump_json(doc, Path(args.out))
+    return EXIT_OK
 
 
 def cmd_oracle(args) -> int:

@@ -1,7 +1,8 @@
 """Exception types and the input checks shared across the toolkit.
 
-``require_type`` checks the scalars of a document; ``require_weights`` is
-the one check of a weight map, for model weights and tuning weights alike.
+``require_type`` checks the scalars of a document and ``require_finite`` a
+finite real number; ``require_weights`` is the one check of a weight map,
+for model weights and tuning weights alike.
 """
 
 import math
@@ -64,6 +65,19 @@ def require_type(values, types: tuple[type, ...], what: str) -> list:
         names = " or ".join(t.__name__ for t in types)
         raise ValueError(f"{what} must be {names}, got {bad!r}")
     return values
+
+
+def require_finite(value, what: str) -> float:
+    """The value as a float, after checking it is a finite int or float:
+    never a bool or a string, an integer beyond float range, NaN or inf."""
+    (value,) = require_type([value], (int, float), what)
+    try:
+        value = float(value)
+    except OverflowError:  # a JSON integer too large for a float
+        raise ValueError(f"{what} is out of range") from None
+    if not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{what} must be finite, got {value}")
+    return value
 
 
 def require_weights(weights, names: Sequence[str] = (), positive: bool = True) -> dict[str, float]:

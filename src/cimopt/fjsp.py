@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -155,7 +155,8 @@ class TimedVariable:
 @dataclass(frozen=True)
 class VariableIndex:
     """Dense indexing of the variables that survive pruning. ``raw_count``
-    and each entry's job, op, machine and start are ints, never bools."""
+    and each entry's job, op, machine and start are ints, never bools, and
+    no entry appears twice."""
 
     entries: tuple[TimedVariable, ...]
     raw_count: int
@@ -163,9 +164,11 @@ class VariableIndex:
     def __post_init__(self):
         require_type([self.raw_count], (int,), "raw_count")
         require_type((v for e in self.entries for v in (e.job, e.op, e.machine, e.start)), (int,), "index entry fields")
-        object.__setattr__(
-            self, "_position", {entry: k for k, entry in enumerate(self.entries)}
-        )
+        position = {entry: k for k, entry in enumerate(self.entries)}
+        if len(position) != len(self.entries):  # a repeated entry kept only its last position
+            repeated = next(entry for k, entry in enumerate(self.entries) if position[entry] != k)
+            raise ValueError(f"index repeats entry {repeated}")
+        object.__setattr__(self, "_position", position)
         groups: dict[tuple[int, int], list[int]] = {}
         for k, entry in enumerate(self.entries):
             groups.setdefault((entry.job, entry.op), []).append(k)
@@ -415,10 +418,18 @@ class FjspDiagnostics:
         }
 
 
-def _diagnose(
-    inst: FjspInstance,
-    selected: Mapping[tuple[int, int], list[tuple[int, int]]],
-) -> tuple[Schedule, FjspDiagnostics]:
+def _diagnose(inst: FjspInstance, placements: Iterable) -> tuple[Schedule, FjspDiagnostics]:
+    """The schedule and diagnostics of checked placements.
+
+    Each placement is any object with ``job``, ``op``, ``machine`` and
+    ``start`` naming an eligible machine of an operation of ``inst`` (an
+    index entry or a schedule entry). They are grouped by operation in the
+    order given; an operation placed other than exactly once is an
+    assignment violation, and the rest go into the schedule.
+    """
+    selected: dict[tuple[int, int], list] = {}
+    for placement in placements:
+        selected.setdefault((placement.job, placement.op), []).append(placement)
     assignment = []
     placed: dict[tuple[int, int], ScheduleEntry] = {}
     for j, h, op in inst.iter_operations():
@@ -426,8 +437,8 @@ def _diagnose(
         if len(picks) != 1:
             assignment.append((j, h, len(picks)))
             continue
-        machine, start = picks[0]
-        placed[(j, h)] = ScheduleEntry(j, h, machine, start, start + op.times[machine])
+        pick = picks[0]
+        placed[(j, h)] = ScheduleEntry(j, h, pick.machine, pick.start, pick.start + op.times[pick.machine])
 
     sequence = []
     for j, job in enumerate(inst.jobs):
@@ -472,12 +483,7 @@ def decode_schedule(
     """
     if len(bits) != len(index):
         raise DimensionError(f"bit vector has {len(bits)} entries for index size {len(index)}")
-    selected: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for k, bit in enumerate(bits):
-        if bit:
-            entry = index.entries[k]
-            selected.setdefault((entry.job, entry.op), []).append((entry.machine, entry.start))
-    return _diagnose(inst, selected)
+    return _diagnose(inst, (entry for entry, bit in zip(index.entries, bits) if bit))
 
 
 def _processing_time(inst: FjspInstance, job: int, op: int, machine: int, start: int) -> int:
@@ -496,7 +502,6 @@ def _processing_time(inst: FjspInstance, job: int, op: int, machine: int, start:
 
 def diagnose_schedule(inst: FjspInstance, schedule: Schedule) -> FjspDiagnostics:
     """Validate an explicit schedule, of int placements, against the instance rule set."""
-    selected: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for entry in schedule.entries:
         p = _processing_time(inst, entry.job, entry.op, entry.machine, entry.start)
         if entry.end != entry.start + p:
@@ -504,9 +509,7 @@ def diagnose_schedule(inst: FjspInstance, schedule: Schedule) -> FjspDiagnostics
                 f"operation ({entry.job}, {entry.op}) spans [{entry.start}, {entry.end}) "
                 f"but takes {p} units on machine {entry.machine}"
             )
-        selected.setdefault((entry.job, entry.op), []).append((entry.machine, entry.start))
-    _, diagnostics = _diagnose(inst, selected)
-    return diagnostics
+    return _diagnose(inst, schedule.entries)[1]
 
 
 def schedule_to_bits(

@@ -9,11 +9,10 @@ mass-deviation metrics over solution populations.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .errors import DimensionError, require_type, require_weights
+from .errors import DimensionError, require_finite, require_type, require_weights
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -92,12 +91,13 @@ def residue_masses(
 ) -> tuple[tuple[str, float], ...]:
     """(code, mass) pairs for the chosen table.
 
-    half_water_per_acid subtracts half a water mass from every residue; an
-    opt-in correction mode, off by default because residue masses already
-    account for peptide-bond condensation.
+    half_water_per_acid, a bool, subtracts half a water mass from every
+    residue; an opt-in correction mode, off by default because residue
+    masses already account for peptide-bond condensation.
     """
     if table not in _TABLES:
         raise ValueError(f"unknown mass table {table!r}")
+    require_type([half_water_per_acid], (bool,), "half_water_per_acid")
     acids = STANDARD_AMINO_ACIDS if acids is None else tuple(acids)
     shift = _water(table) / 2.0 if half_water_per_acid else 0.0
     return tuple(
@@ -116,12 +116,13 @@ def sequence_mass(sequence: str, table: str = "average") -> float:
 
 
 def calibrate_mass(raw: float, mode: str = "none", table: str = "average") -> float:
-    """Target-mass calibration.
+    """Target-mass calibration of ``raw``, a finite int or float, to a float.
 
     mode "none" passes raw through; "subtract_water" removes one water mass
     (the condensation loss of the intact peptide), using the water mass
     matching the residue table.
     """
+    raw = require_finite(raw, "target_mass")
     if mode == "none":
         return raw
     if mode == "subtract_water":
@@ -135,18 +136,6 @@ def calibrate_mass(raw: float, mode: str = "none", table: str = "average") -> fl
 def default_position_count(calibrated_mass: float) -> int:
     """Guess sequence length as calibrated mass over a mean residue mass."""
     return max(1, round(calibrated_mass / _MEAN_RESIDUE))
-
-
-def _finite_mass(value, name: str) -> float:
-    """The value as a float, after checking it is a finite int or float."""
-    (value,) = require_type([value], (int, float), name)
-    try:
-        value = float(value)
-    except OverflowError:  # a JSON integer too large for a float
-        raise ValueError(f"{name} is out of range") from None
-    if not math.isfinite(value):  # json reads NaN and Infinity
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -166,8 +155,8 @@ class PeptideProblem:
         require_type([self.positions], (int,), "positions")
         require_type([self.half_water_per_acid], (bool,), "half_water_per_acid")
         require_type([] if self.label is None else [self.label], (str,), "label")
-        object.__setattr__(self, "target_mass_raw", _finite_mass(self.target_mass_raw, "target_mass"))
-        object.__setattr__(self, "calibrated_mass", _finite_mass(self.calibrated_mass, "calibrated_mass"))
+        object.__setattr__(self, "target_mass_raw", require_finite(self.target_mass_raw, "target_mass"))
+        object.__setattr__(self, "calibrated_mass", require_finite(self.calibrated_mass, "calibrated_mass"))
         if not self.target_mass_raw > 0:
             raise ValueError(f"target_mass must be positive, got {self.target_mass_raw}")
         if self.positions < 1:
@@ -220,7 +209,8 @@ class PeptideWeights:
 @dataclass(frozen=True)
 class CountEncodingConfig:
     """Legacy encoding: each acid's copy number as a little-endian bit field
-    of ``bits_per_acid`` bits, an int in [1, 8]; the weights may be 0."""
+    of ``bits_per_acid`` bits, an int in [1, 8]; the weights may be 0, and
+    ``length_mid`` is a finite int or float, stored as a float."""
 
     bits_per_acid: int = 5
     mass_weight: float = 1.0
@@ -232,6 +222,7 @@ class CountEncodingConfig:
         if not 1 <= self.bits_per_acid <= 8:
             raise ValueError(f"bits_per_acid must be in [1, 8], got {self.bits_per_acid}")
         require_weights({"mass_weight": self.mass_weight, "length_weight": self.length_weight}, positive=False)
+        object.__setattr__(self, "length_mid", require_finite(self.length_mid, "length_mid"))
 
 
 def build_onehot_qubo(
@@ -426,11 +417,7 @@ class PopulationMetrics:
     best_relative: float | None
 
     def to_doc(self) -> dict:
-        return {
-            "violation_rate": self.violation_rate,
-            "best_deviation_da": self.best_deviation_da,
-            "best_relative": self.best_relative,
-        }
+        return asdict(self)
 
 
 def evaluate_population(solutions: Sequence[CompositionSolution]) -> PopulationMetrics:
@@ -462,24 +449,24 @@ def problem_from_doc(doc: Mapping) -> PeptideProblem:
     A stated ``calibrated_mass`` (as ``problem_to_doc`` writes it) is the
     calibrated mass, so it needs ``"calibration": "none"``; without it the
     mass is calibrated as ``make_problem`` does. ``PeptideProblem`` checks
-    the fields; the masses are checked here first, as the default position
-    count is computed from them.
+    the fields; the calibrated mass is checked first (a stated one here, a
+    computed one's input by ``calibrate_mass``), as the default position
+    count is computed from it.
     """
     if not isinstance(doc, Mapping):
         raise ValueError(f"problem document must be a JSON object, got {type(doc).__name__}")
     if "target_mass" not in doc:
         raise ValueError("problem document is missing field 'target_mass'")
-    target_mass = _finite_mass(doc["target_mass"], "target_mass")
     table, calibration = require_type(
         [doc.get("mass_table", "average"), doc.get("calibration", "none")], (str,), "mass_table and calibration"
     )
     if "calibrated_mass" in doc and calibration != "none":
         raise ValueError(f"a stated calibrated_mass needs calibration 'none', got {calibration!r}")
     if "calibrated_mass" in doc:
-        calibrated = _finite_mass(doc["calibrated_mass"], "calibrated_mass")
+        calibrated = require_finite(doc["calibrated_mass"], "calibrated_mass")
     else:
-        calibrated = calibrate_mass(target_mass, calibration, table)
+        calibrated = calibrate_mass(doc["target_mass"], calibration, table)
     positions = doc.get("positions")
     positions = default_position_count(calibrated) if positions is None else positions
     half_water, label = doc.get("half_water_per_acid", False), doc.get("label")
-    return PeptideProblem(target_mass, calibrated, positions, table, half_water, label)
+    return PeptideProblem(doc["target_mass"], calibrated, positions, table, half_water, label)

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BudgetExceededError, require_type
+from .errors import BudgetExceededError, require_finite, require_type
 from .qubo import (  # qubo_energy, ising_energy: kept in this namespace, bench/spans.py wraps them
     IsingConvention,
     IsingModel,
@@ -68,7 +68,8 @@ class SolverConfig:
     hardware. ``readout_flip_prob`` flips each output spin independently;
     ``emulate_latency_ms`` sleeps that long per solve and is reported as the
     (deterministic) wall time. Counts and the seed must be ints, the
-    probability and temperatures ints or floats, never bools (ValueError).
+    probability and temperatures ints or floats, never bools, and the
+    temperatures finite (ValueError).
     """
 
     sweeps: int = 5000
@@ -84,7 +85,9 @@ class SolverConfig:
         for name in ("sweeps", "restarts", "top_k", "emulate_latency_ms"):
             require_type([getattr(self, name)], (int,), name)
         require_type([self.readout_flip_prob], (int, float), "readout_flip_prob")
-        require_type([t for t in (self.temp_initial, self.temp_final) if t is not None], (int, float), "temperatures")
+        for name in ("temp_initial", "temp_final"):
+            if getattr(self, name) is not None:
+                require_finite(getattr(self, name), name)
         _require_seed(self.seed)
         if self.sweeps < 1:
             raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")

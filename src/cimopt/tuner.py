@@ -20,10 +20,10 @@ import math
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import PolicyError, require_type, require_weights
+from .errors import PolicyError, require_finite, require_type, require_weights
 from .fjsp import (
     FjspInstance,
     FjspWeights,
@@ -131,16 +131,7 @@ class PolicyContext:
     incumbent: dict | None
 
     def to_doc(self) -> dict:
-        return {
-            "v": WIRE_VERSION,
-            "iteration": self.iteration,
-            "problem_kind": self.problem_kind,
-            "current_weights": dict(self.current_weights),
-            "solve_summary": list(self.solve_summary),
-            "diagnostics": dict(self.diagnostics),
-            "history": list(self.history),
-            "incumbent": self.incumbent,
-        }
+        return {"v": WIRE_VERSION, **asdict(self)}
 
 
 @dataclass
@@ -212,10 +203,24 @@ def record_to_doc(record: IterationRecord, include_timestamps: bool = True) -> d
 
 
 def record_from_doc(doc: Mapping) -> IterationRecord:
+    """Read an iteration record strictly, as ``record_to_doc`` writes it.
+
+    The record is an object with every field; ``solve_meta``,
+    ``diagnostics`` and the optional ``timestamps`` are objects, and each
+    timestamp a finite number (both 0.0 when the record has none).
+    """
+    if not isinstance(doc, Mapping):
+        raise ValueError(f"iteration record must be a JSON object, got {type(doc).__name__}")
+    for name in ("iteration", "weights", "solve_meta", "diagnostics", "decision"):
+        if name not in doc:
+            raise ValueError(f"iteration record is missing field {name!r}")
+    for name in ("solve_meta", "diagnostics", "timestamps"):
+        if not isinstance(doc.get(name, {}), Mapping):
+            raise ValueError(f"iteration record field {name!r} must be an object, got {type(doc[name]).__name__}")
+    stamps = doc.get("timestamps", {"started_utc": 0.0, "elapsed_ms": 0.0})
     decision = None
-    if doc.get("decision") is not None:
+    if doc["decision"] is not None:
         decision = parse_policy_decision(doc["decision"], required_names=())
-    stamps = doc.get("timestamps") or {}
     (iteration,) = require_type([doc["iteration"]], (int,), "iteration")
     return IterationRecord(
         iteration=iteration,
@@ -223,8 +228,8 @@ def record_from_doc(doc: Mapping) -> IterationRecord:
         solve_meta=dict(doc["solve_meta"]),
         diagnostics=dict(doc["diagnostics"]),
         decision=decision,
-        started_utc=float(stamps.get("started_utc", 0.0)),
-        elapsed_ms=float(stamps.get("elapsed_ms", 0.0)),
+        started_utc=require_finite(stamps.get("started_utc"), "started_utc"),
+        elapsed_ms=require_finite(stamps.get("elapsed_ms"), "elapsed_ms"),
     )
 
 
@@ -247,7 +252,6 @@ class FjspTask:
 
     kind = "fjsp"
     weight_names = ("alpha", "beta", "gamma", "delta")
-    metric_name = "makespan"
 
     def __init__(self, instance: FjspInstance, h3_mode: str = "strict", quantize: bool = False):
         self.instance = instance
@@ -285,12 +289,11 @@ class PeptideTask:
             raise ValueError(f"unknown encoding {encoding!r}")
         self.problem = problem
         self.encoding = encoding
-        self.count_cfg = count_cfg or CountEncodingConfig(length_mid=float(problem.positions))
+        self.count_cfg = count_cfg or CountEncodingConfig(length_mid=problem.positions)
         self.acids = acids
         self.quantize = quantize
 
     kind = "peptide"
-    metric_name = "deviation_da"
 
     @property
     def weight_names(self):
@@ -301,12 +304,7 @@ class PeptideTask:
     def build(self, weights: Mapping[str, float]):
         if self.encoding == "onehot":
             return build_onehot_qubo(self.problem, PeptideWeights.from_dict(weights), self.acids)
-        cfg = CountEncodingConfig(
-            bits_per_acid=self.count_cfg.bits_per_acid,
-            mass_weight=weights["mass_weight"],
-            length_weight=weights["length_weight"],
-            length_mid=self.count_cfg.length_mid,
-        )
+        cfg = replace(self.count_cfg, mass_weight=weights["mass_weight"], length_weight=weights["length_weight"])
         return build_count_qubo(self.problem, cfg, self.acids)
 
     def decode(self, bits) -> Decoded:
@@ -624,10 +622,13 @@ def external_policy(endpoint: str, timeout: float = 30.0) -> Callable[[PolicyCon
     or a shell command (the context is written to stdin as one JSON line
     and the decision read from stdout). Timeouts, malformed JSON, schema
     violations, and non-positive weights all raise PolicyError; a
-    ``timeout`` that is not a finite number > 0 raises ValueError.
+    ``timeout`` that is not an int or float, finite and > 0, raises
+    ValueError.
     """
-    if not (math.isfinite(timeout) and timeout > 0):
+    require_type([timeout], (int, float), "policy timeout")
+    if not 0 < timeout < math.inf:
         raise ValueError(f"policy timeout must be a finite number > 0, got {timeout!r}")
+    require_finite(timeout, "policy timeout")  # an int beyond float range
     is_http = endpoint.startswith("http://") or endpoint.startswith("https://")
     argv = None if is_http else shlex.split(endpoint)
     if not is_http and not argv:

@@ -1,6 +1,7 @@
 """Scheduling model: pruning, Hamiltonian, decoding, exact oracle."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +292,12 @@ class TestBuildQubo:
         assert table1_index.raw_count == 513
         with pytest.raises(ValueError, match=message):
             VariableIndex(table1_index.entries + extra, raw_count)
+
+    def test_repeated_index_entry_rejected(self, table1_index):
+        # a repeat gave build_qubo a 265-variable model, and get() the last copy
+        first = table1_index.entries[0]
+        with pytest.raises(ValueError, match=re.escape(f"index repeats entry {first}")):
+            VariableIndex(table1_index.entries + (first,), table1_index.raw_count)
 
 
 H3_WEIGHTS = [FjspWeights(150, 100, 100, 15), FjspWeights(1.3, 0.7, 2.9, 0.1)]

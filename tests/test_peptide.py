@@ -61,6 +61,12 @@ class TestMassTable:
         for code in plain:
             assert adjusted[code] == pytest.approx(plain[code] - 18.0153 / 2)
 
+    @pytest.mark.parametrize("flag", ["false", 1, None])
+    def test_half_water_flag_must_be_a_bool(self, flag):
+        # "false" applied the shift: G at 48.04 Da instead of 57.05
+        with pytest.raises(ValueError, match="half_water_per_acid must be bool"):
+            residue_masses("average", half_water_per_acid=flag)
+
 
 class TestCalibration:
     def test_subtract_water(self):
@@ -72,6 +78,26 @@ class TestCalibration:
     def test_rejects_sub_water_mass(self):
         with pytest.raises(ValueError):
             calibrate_mass(17.0, "subtract_water")
+
+    @pytest.mark.parametrize(
+        "raw, mode, message",
+        [
+            ("1448", "subtract_water", "target_mass must be int or float, got '1448'"),  # was a TypeError
+            ("1448", "none", "target_mass must be int or float"),
+            (True, "none", "target_mass must be int or float"),
+            (math.inf, "none", "target_mass must be finite"),  # an OverflowError in default_position_count
+            (math.nan, "subtract_water", "target_mass must be finite"),
+            pytest.param(10**400, "none", "target_mass is out of range", id="10**400"),
+        ],
+    )
+    def test_raw_mass_must_be_finite(self, raw, mode, message):
+        with pytest.raises(ValueError, match=message):
+            calibrate_mass(raw, mode)
+        with pytest.raises(ValueError, match=message):
+            make_problem(raw, calibration=mode)
+
+    def test_calibrated_mass_is_a_float(self):
+        assert type(calibrate_mass(1448)) is float
 
     def test_position_heuristic(self):
         assert default_position_count(1448.77) == 13
@@ -244,6 +270,23 @@ class TestCountBuilder:
             CountEncodingConfig(bits_per_acid=True)  # used to run as 1
         with pytest.raises(ValueError):
             CountEncodingConfig(mass_weight=-1.0)
+
+    @pytest.mark.parametrize(
+        "length_mid, message",
+        [
+            ("3", "length_mid must be int or float"),  # was a TypeError in build_count_qubo
+            (True, "length_mid must be int or float"),  # ran as 1
+            (math.nan, "length_mid must be finite"),
+            (math.inf, "length_mid must be finite"),
+            pytest.param(10**400, "length_mid is out of range", id="10**400"),
+        ],
+    )
+    def test_length_mid_must_be_finite(self, length_mid, message):
+        with pytest.raises(ValueError, match=message):
+            CountEncodingConfig(length_mid=length_mid)
+
+    def test_length_mid_is_stored_as_a_float(self):
+        assert type(CountEncodingConfig(length_mid=13).length_mid) is float
 
 
 class TestEncodingComparison:

@@ -1,6 +1,7 @@
 """Solver contract: exactness, determinism, noise, quantized pipeline."""
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -330,10 +331,16 @@ class TestSolverConfig:
         {"readout_flip_prob": "0.1"},
         {"temp_initial": True, "temp_final": 0.5},
         {"temp_initial": 2.0, "temp_final": np.float64(0.5)},
+        {"temp_initial": math.inf, "temp_final": 0.5},  # the schedule became inf, then NaN
     ])
     def test_settings_of_the_wrong_type_rejected(self, setting):
         with pytest.raises(ValueError, match="must be"):
             SolverConfig(**setting)
+
+    def test_temperature_beyond_float_range_rejected(self):
+        # was accepted and failed at solve time with an OverflowError
+        with pytest.raises(ValueError, match="temp_initial is out of range"):
+            SolverConfig(temp_initial=10**400, temp_final=0.5)
 
     def test_int_and_float_settings_accepted(self):
         config = SolverConfig(sweeps=5, restarts=1, temp_initial=2, temp_final=0.5, readout_flip_prob=0)

@@ -34,6 +34,7 @@ from cimopt.tuner import (
 
 FAST = SolverConfig(sweeps=300, restarts=4, seed=0)
 WEIGHTS0 = {"alpha": 150.0, "beta": 100.0, "gamma": 100.0, "delta": 15.0}
+PEPTIDE_WEIGHTS0 = {"lambda_pos": 1.0, "lambda_mass": 1.0}
 
 
 def fjsp_context(conflicts=0, assignment=0, sequence=0, weights=None, makespan=None):
@@ -268,9 +269,27 @@ class TestRunTuning:
         report = run_tuning(task, WEIGHTS0, rule_policy_fjsp, FAST, max_iter=2)
         assert len(report.records) == report.iterations_run
 
-    def test_records_roundtrip_through_log_format(self, table1):
-        task = FjspTask(table1)
-        report = run_tuning(task, WEIGHTS0, rule_policy_fjsp, FAST, max_iter=2)
+    @pytest.mark.parametrize(
+        "make_task, weights, policy",
+        [
+            (FjspTask, WEIGHTS0, rule_policy_fjsp),
+            (lambda inst: FjspTask(inst, quantize=True), WEIGHTS0, rule_policy_fjsp),
+            (lambda _: PeptideTask(make_problem(128.13, positions=2)), PEPTIDE_WEIGHTS0, rule_policy_peptide),
+            (
+                lambda _: PeptideTask(make_problem(128.13, positions=2), quantize=True),
+                PEPTIDE_WEIGHTS0,
+                rule_policy_peptide,
+            ),
+            (
+                lambda _: PeptideTask(make_problem(128.13, positions=2), encoding="count"),
+                {"mass_weight": 1.0, "length_weight": 1.0},
+                single_shot_policy,
+            ),
+        ],
+        ids=["fjsp", "fjsp-quantized", "onehot", "onehot-quantized", "count"],
+    )
+    def test_records_roundtrip_through_log_format(self, table1, make_task, weights, policy):
+        report = run_tuning(make_task(table1), weights, policy, FAST, max_iter=2)
         for record in report.records:
             doc = record_to_doc(record, include_timestamps=True)
             restored = record_from_doc(json.loads(json.dumps(doc)))
@@ -476,10 +495,33 @@ WEIGHT_NAMES = st.sampled_from(["alpha", "gamma", "lambda_pos", "mass_weight"])
 
 
 class TestMalformedWeights:
-    @pytest.mark.parametrize("change, message", [({"iteration": 2.7}, "iteration must be int"), ({"weights": {"a": "x"}}, "'a'")])
+    @pytest.mark.parametrize("change, message", [
+        ({"iteration": 2.7}, "iteration must be int"),
+        ({"weights": {"a": "x"}}, "'a'"),
+        ({"solve_meta": [["a", 1]]}, "'solve_meta' must be an object, got list"),  # read as {"a": 1}
+        ({"diagnostics": [["violation_rate", 0.0]]}, "'diagnostics' must be an object, got list"),
+        ({"timestamps": [0.0, 1.0]}, "'timestamps' must be an object, got list"),
+        ({"timestamps": {"started_utc": "12", "elapsed_ms": 1.0}}, "started_utc must be int or float"),  # read as 12.0
+        ({"timestamps": {"started_utc": 1.0, "elapsed_ms": True}}, "elapsed_ms must be int or float"),  # read as 1.0
+        ({"timestamps": {"started_utc": math.nan, "elapsed_ms": 1.0}}, "started_utc must be finite"),
+        ({"timestamps": {"elapsed_ms": 1.0}}, "started_utc must be int or float, got None"),  # read as 0.0
+    ])
     def test_record_rejects_coerced_field(self, change, message):
         with pytest.raises(ValueError, match=message):
             record_from_doc(record_doc(**change))
+
+    @pytest.mark.parametrize("doc, message", [
+        ([["iteration", 2]], "iteration record must be a JSON object, got list"),  # an AttributeError
+        ({k: v for k, v in record_doc().items() if k != "solve_meta"}, "missing field 'solve_meta'"),  # a KeyError
+        ({k: v for k, v in record_doc().items() if k != "decision"}, "missing field 'decision'"),  # read as None
+    ])
+    def test_record_must_be_a_whole_object(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            record_from_doc(doc)
+
+    def test_record_without_timestamps_reads_zero(self):
+        record = record_from_doc(record_doc())
+        assert (record.started_utc, record.elapsed_ms) == (0.0, 0.0)
 
     @given(name=WEIGHT_NAMES, value=MALFORMED_WEIGHTS)
     @settings(max_examples=150, deadline=None)
@@ -556,6 +598,18 @@ class TestExternalPolicy:
     @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
     def test_timeout_must_be_finite_and_positive(self, timeout):
         with pytest.raises(ValueError, match=f"policy timeout must be a finite number > 0, got {timeout!r}"):
+            external_policy(f"{PY} -c \"pass\"", timeout=timeout)
+
+    @pytest.mark.parametrize(
+        "timeout, message",
+        [
+            (True, "policy timeout must be int or float, got True"),  # ran as 1 s
+            ("5", "policy timeout must be int or float, got '5'"),  # was a TypeError
+            pytest.param(10**400, "policy timeout is out of range", id="10**400"),  # was an OverflowError
+        ],
+    )
+    def test_timeout_must_be_a_number(self, timeout, message):
+        with pytest.raises(ValueError, match=message):
             external_policy(f"{PY} -c \"pass\"", timeout=timeout)
 
     def test_empty_output(self, table1):
