@@ -479,11 +479,19 @@ def decode_schedule(
 
     Violations are data, not errors: the schedule covers every uniquely
     assigned operation and the diagnostics list everything wrong with the
-    rest.
+    rest. A selected entry that names no operation of ``inst``, or a machine
+    the operation is not eligible on, is a DimensionError; only the
+    selected entries are checked.
     """
     if len(bits) != len(index):
         raise DimensionError(f"bit vector has {len(bits)} entries for index size {len(index)}")
-    return _diagnose(inst, (entry for entry, bit in zip(index.entries, bits) if bit))
+    selected = [entry for entry, bit in zip(index.entries, bits) if bit]
+    for e in selected:
+        if not (0 <= e.job < len(inst.jobs) and 0 <= e.op < len(inst.jobs[e.job].operations)):
+            raise DimensionError(f"index entry {e} does not exist in the instance")
+        if not (0 <= e.machine < inst.machines and inst.operation(e.job, e.op).times[e.machine] is not None):
+            raise DimensionError(f"index entry {e} uses an ineligible machine")
+    return _diagnose(inst, selected)
 
 
 def _processing_time(inst: FjspInstance, job: int, op: int, machine: int, start: int) -> int:

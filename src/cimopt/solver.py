@@ -223,10 +223,10 @@ def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float
     return 10.0 * scale, 1e-3 * scale
 
 
-def _anneal_pool(
-    h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float
-) -> dict[bytes, float]:
-    """Run restart-batched annealing chains; return visited low-energy states.
+def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float):
+    """Run restart-batched annealing chains, yielding ``(spins, energies)``
+    after every sweep: the restarts' spins in the dtype of ``jmat`` and their
+    float64 energies less the offset, in buffers the next sweep overwrites.
 
     Spins are visited in a fresh random order every sweep; orders and blocks
     are drawn from a schedule stream so that chains stay independent given
@@ -235,11 +235,10 @@ def _anneal_pool(
     semantics hold exactly when blocks are singletons, which is forced for
     small models). Spins and fields take the dtype of ``h`` and ``jmat``,
     which ``_dense_fields`` makes float32 only where that is exact; the
-    acceptance test, the energies and the pool keys (spin vectors as float64
-    bytes) are float64 either way.
+    acceptance test and the energies are float64 either way.
 
     Every buffer and block view the sweep uses is made once per solve;
-    only the field resync every 256 sweeps and new pool keys allocate.
+    only the field resync every 256 sweeps allocates.
     Each restart draws its acceptance uniforms for up to ``chunk`` sweeps
     in one call, into a buffer of at most 2**17 doubles (1 MiB; one
     sweep's worth if that alone is larger). A Generator fills its output
@@ -260,17 +259,15 @@ def _anneal_pool(
     -2s * 0, which is -0.0 where s = +1 (a mask select would give +0.0).
     A signed zero adds nothing to a sum that has a nonzero term, so the
     only possible difference is the sign of a field or energy that is
-    exactly zero: exp(+-0) = 1 and -0.0 == 0.0, so no accept decision,
-    pool key or pool order changes, and in a float32 anneal a pooled
+    exactly zero: exp(+-0) = 1 and -0.0 == 0.0, so no accept decision or
+    energy comparison changes, and in a float32 anneal a yielded
     energy plus the offset equals its re-evaluation, in sign too unless
     the offset is -0.0.
     Every spin is visited once per sweep, so no block reads a spin that an
     earlier block of the sweep flipped: after the last block,
     ``visit += delta`` applies the flips (s - 2s = -s and
     s + 0 = s, both exact) and one gather through the inverse of the
-    visiting order writes them back to ``spins``. The pool's largest
-    energy is kept incrementally; it is recomputed only when the entry
-    holding it is lowered.
+    visiting order writes them back to ``spins``.
     """
     n = h.size
     restarts = config.restarts
@@ -283,10 +280,7 @@ def _anneal_pool(
     fields = spins @ jmat + h
 
     sweeps = config.sweeps
-    if sweeps > 1:
-        temps = t0 * (t1 / t0) ** (np.arange(sweeps) / (sweeps - 1))
-    else:
-        temps = np.array([t0])
+    temps = t0 * (t1 / t0) ** (np.arange(sweeps) / max(sweeps - 1, 1))
 
     # per-sweep buffers in visiting order, each block's views of them, and
     # scratch shared by all blocks (contiguous views of the widest block's)
@@ -312,10 +306,6 @@ def _anneal_pool(
         cols, w = slice(int(span[0]), int(span[-1]) + 1), span.size
         f_blk, p, accept = (buf[: restarts * w].reshape(restarts, w) for buf in (f_buf, p_buf, a_buf))
         blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], accept, minus2[:, cols], delta[:, cols], j_buf[:w]))
-
-    pool: dict[bytes, float] = {}
-    pool_cap = max(32, 4 * config.top_k)
-    pool_worst = -np.inf  # largest energy in the pool
 
     for sweep in range(sweeps):
         row = sweep % chunk
@@ -347,6 +337,23 @@ def _anneal_pool(
         np.multiply(spins, local, out=local)
         np.add.reduce(local, axis=1, dtype=np.float64, out=energies)
         energies *= 0.5
+        yield spins, energies  # outside errstate, which NumPy 1.x keeps per thread
+
+
+def _anneal_pool(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float) -> dict[bytes, float]:
+    """Pool the distinct states that ``_sweeps`` yields, keyed by their spins
+    as float64 bytes, each with the lowest energy less the offset it had.
+    Up to ``pool_cap`` states are kept. While the pool is full, a state
+    enters only below the pool's largest energy, and a sweep whose energies
+    all reach it is skipped whole. A new state that overfills the pool cuts
+    it to the ``pool_cap // 2`` lowest by (energy, key). The largest energy
+    is kept incrementally; it is recomputed only when the entry holding it
+    is lowered.
+    """
+    pool: dict[bytes, float] = {}
+    pool_cap = max(32, 4 * config.top_k)
+    pool_worst = -np.inf  # largest energy in the pool
+    for spins, energies in _sweeps(h, jmat, config, t0, t1):
         full = len(pool) >= pool_cap
         if full and energies.min() >= pool_worst:
             continue

@@ -358,10 +358,13 @@ def run_tuning(
     Terminates on a stop decision, on max_iter, or when the policy proposes
     a weight map that was already tried (the duplicate is not recorded).
     Policy failures raise PolicyError with the last completed record
-    attached; they are never swallowed.
+    attached; they are never swallowed. ``max_iter`` and ``max_history``
+    must be ints >= 1 (ValueError).
     """
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    for name, value in (("max_iter", max_iter), ("max_history", max_history)):
+        require_type([value], (int,), name)
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     solver_config = solver_config or SolverConfig()
     memory = TunerMemory(max_history=max_history)
     records: list[IterationRecord] = []

@@ -279,6 +279,32 @@ class TestBuildQubo:
             build_qubo(inst, FjspWeights(1.0, 1.0, 1.0, 1.0), bad)
 
     @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (TimedVariable(0, 3, 0, 6), "does not exist in the instance"),
+            (TimedVariable(3, 0, 0, 0), "does not exist in the instance"),
+            (TimedVariable(-1, 0, 0, 0), "does not exist in the instance"),
+            (TimedVariable(0, 0, 3, 0), "uses an ineligible machine"),
+            (TimedVariable(0, 0, -1, 0), "uses an ineligible machine"),
+        ],
+    )
+    def test_decode_rejects_selected_bad_entry(self, table1, table1_index, extra, message):
+        # each of these selected entries used to decode without an error
+        index = VariableIndex(table1_index.entries + (extra,), table1_index.raw_count)
+        bits = [1] + [0] * len(table1_index)
+        decode_schedule(table1, index, bits)  # an unselected entry is not checked
+        with pytest.raises(DimensionError, match=re.escape(f"index entry {extra} {message}")):
+            decode_schedule(table1, index, bits[:-1] + [1])
+
+    def test_decode_rejects_selected_ineligible_machine(self):
+        # an entry on an ineligible machine ended in a TypeError inside _diagnose
+        inst = FjspInstance.build(2, 4, [[[1, None]]])
+        index = prune_variables(inst)
+        bad = VariableIndex(index.entries + (TimedVariable(0, 0, 1, 0),), index.raw_count)
+        with pytest.raises(DimensionError, match=r"index entry .* uses an ineligible machine"):
+            decode_schedule(inst, bad, [0] * len(index) + [1])
+
+    @pytest.mark.parametrize(
         "extra, raw_count, message",
         [
             # the int64 cast of the index check truncated 2.5 to 2: a 265-variable model

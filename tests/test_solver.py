@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cimopt import solver
 from cimopt.errors import BudgetExceededError, DegenerateMatrixError
@@ -455,6 +457,8 @@ class TestAnnealStateDtype:
             (47, {"sweeps": 348}),  # exactly one chunk
             (47, {"sweeps": 448}),  # a chunk and a remainder of 100 sweeps
             (200, {"restarts": 656, "sweeps": 3}),  # 656 * 200 > 2**17: one sweep per chunk
+            (47, {"sweeps": 1}),  # a one-sweep schedule is t0 alone
+            (33, {"sweeps": 2}),  # the shortest schedule that reaches t1
         ],
     )
     def test_pool_matches_float64_reference(self, n, settings, quantized):
@@ -504,6 +508,55 @@ class TestAnnealStateDtype:
         assert state_dtype(IsingModel(2, (0.0, 0.0), {(0, 1): 2.0**20})) == np.float64
         assert state_dtype(IsingModel(1, (2.0**21 - 0.25,), {})) == np.float32
         assert state_dtype(IsingModel(1, (2.0**21,), {})) == np.float64
+
+
+class TestSweepStream:
+    """``_sweeps`` is the chain kernel, ``_anneal_pool`` its only consumer."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 10),
+        st.sampled_from([np.float32, np.float64]),
+        st.data(),
+    )
+    def test_pool_keeps_the_lowest_offered_states(self, restarts, top_k, dtype, data):
+        # a fake stream in which each of 64 states always carries its own energy
+        n = 6
+        states = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        energy = np.array(data.draw(st.permutations(range(2**n))), np.float64) - 20.0
+        sweep = st.lists(st.integers(0, 2**n - 1), min_size=restarts, max_size=restarts)
+        stream = data.draw(st.lists(sweep, min_size=1, max_size=30))
+        spins, energies = np.empty((restarts, n), dtype), np.empty(restarts)
+
+        def fake_sweeps(h, jmat, config, t0, t1):
+            for picks in stream:  # one pair of buffers, overwritten each sweep
+                spins[...] = states[picks]
+                energies[...] = energy[picks]
+                yield spins, energies
+
+        config = SolverConfig(sweeps=len(stream), restarts=restarts, top_k=top_k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_sweeps", fake_sweeps)
+            pool = solver._anneal_pool(np.zeros(n, dtype), np.zeros((n, n), dtype), config, 1.0, 0.1)
+        pooled = sorted((e, tuple(np.frombuffer(key))) for key, e in pool.items())
+        offered = sorted({(energy[i], tuple(states[i])) for picks in stream for i in picks})
+        assert pooled[:top_k] == offered[:top_k]
+
+    def test_kernel_yields_exact_states_whatever_top_k(self):
+        work = solver._as_positive_ising(quantize_int8(random_model(np.random.default_rng(9), 40)).to_matrix())
+        h, jmat = solver._dense_fields(work)
+        assert jmat.dtype == np.float32
+        streams = []
+        for top_k in (1, 10):
+            config = SolverConfig(sweeps=300, seed=4, top_k=top_k)  # crosses the resync after sweep 256
+            t0, t1 = solver._resolve_temps(config, work)
+            streams.append([(s.copy(), e.copy()) for s, e in solver._sweeps(h, jmat, config, t0, t1)])
+        assert len(streams[0]) == 300
+        for (s1, e1), (s10, e10) in zip(*streams):
+            assert s1.dtype == np.float32 and e1.dtype == np.float64
+            assert np.array_equal(s1, s10) and np.array_equal(e1, e10)
+            assert np.array_equal(e1 + work.offset, batch_energy(work, s1))
 
 
 def generated_fjsp():

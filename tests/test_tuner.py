@@ -335,6 +335,19 @@ class TestRunTuning:
         with pytest.raises(ValueError, match="'gamma'"):
             run_tuning(task, dict(WEIGHTS0, gamma=value), rule_policy_fjsp, FAST, max_iter=1)
 
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            ({"max_iter": True}, "max_iter must be int, got True"),  # ran one iteration
+            ({"max_iter": 1.5}, "max_iter must be int, got 1.5"),  # TypeError from range
+            ({"max_history": 0}, "max_history must be >= 1, got 0"),  # policies saw no history
+        ],
+        ids=["max_iter-bool", "max_iter-float", "max_history-zero"],
+    )
+    def test_rejects_bad_limits(self, table1, limits, message):
+        with pytest.raises(ValueError, match=message):
+            run_tuning(FjspTask(table1), WEIGHTS0, rule_policy_fjsp, FAST, **limits)
+
     def test_single_shot_policy(self, table1):
         task = FjspTask(table1)
         report = run_tuning(task, WEIGHTS0, single_shot_policy, FAST, max_iter=5)
