@@ -1,12 +1,11 @@
 """Exception types and the input checks shared across the toolkit.
 
-``require_type`` checks the scalars of a document and ``require_finite`` a
-finite real number; ``require_weights`` is the one check of a weight map,
-for model weights and tuning weights alike.
+``require_type`` checks the scalars of a document, ``require_int`` a count
+or bound and ``require_finite`` a finite real number; ``require_weights`` is
+the one check of a weight map, for model weights and tuning weights alike.
 """
 
 import math
-from numbers import Real
 from typing import Mapping, Sequence
 
 
@@ -67,6 +66,17 @@ def require_type(values, types: tuple[type, ...], what: str) -> list:
     return values
 
 
+def require_int(value, what: str, low: int, high: int | None = None) -> int:
+    """The value, after checking it is an int (never a bool) in [low, high],
+    or >= low when ``high`` is None."""
+    (value,) = require_type([value], (int,), what)
+    if high is None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{what} must be in [{low}, {high}], got {value}")
+    return value
+
+
 def require_finite(value, what: str) -> float:
     """The value as a float, after checking it is a finite int or float:
     never a bool or a string, an integer beyond float range, NaN or inf."""
@@ -83,10 +93,11 @@ def require_finite(value, what: str) -> float:
 def require_weights(weights, names: Sequence[str] = (), positive: bool = True) -> dict[str, float]:
     """The weights as a dict of floats, after the one check of a weight map.
 
-    Every name in ``names`` must be present, and every value must be a finite
-    real number (never a ``bool``, a string, or an integer beyond float
-    range). Tuning weights (``positive``) must be > 0; model weights may be
-    0, so single Hamiltonian terms can be built and inspected.
+    Every name in ``names`` must be present, and every value must pass
+    ``require_finite``: a finite int or float, never a ``bool``, a string, a
+    numpy scalar or an integer beyond float range. Tuning weights
+    (``positive``) must be > 0; model weights may be 0, so single
+    Hamiltonian terms can be built and inspected.
     """
     if not isinstance(weights, Mapping):
         raise ValueError(f"weights must be an object, got {weights!r}")
@@ -95,14 +106,7 @@ def require_weights(weights, names: Sequence[str] = (), positive: bool = True) -
             raise ValueError(f"weights are missing {name!r}")
     checked = {}
     for name, value in weights.items():
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"weight {name!r} must be a real number, got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            raise ValueError(f"weight {name!r} is out of range") from None
-        if not math.isfinite(value):
-            raise ValueError(f"weight {name!r} must be finite, got {value!r}")
+        value = require_finite(value, f"weight {name!r}")
         if value < 0 or (positive and value == 0):
             raise ValueError(f"{'non-positive' if positive else 'negative'} weight {name!r}: {value!r}")
         checked[name] = value

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, DimensionError, InfeasibleHorizonError, require_type, require_weights
+from .errors import BudgetExceededError, DimensionError, InfeasibleHorizonError, require_int, require_type, require_weights
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -74,11 +74,9 @@ class FjspInstance:
     jobs: tuple[Job, ...]
 
     def __post_init__(self):
-        require_type([self.machines, self.t_max], (int,), "machines and t_max")
-        if self.machines < 1:
-            raise ValueError(f"machines must be >= 1, got {self.machines}")
-        if self.t_max < 0:
-            raise ValueError(f"t_max must be >= 0, got {self.t_max}")
+        require_type([self.machines, self.t_max], (int,), "machines and t_max")  # one type message for both
+        require_int(self.machines, "machines", 1)
+        require_int(self.t_max, "t_max", 0)
         if not self.jobs:
             raise ValueError("instance has no jobs")
         for j, job in enumerate(self.jobs):
@@ -541,10 +539,9 @@ def exact_min_makespan(inst: FjspInstance, node_budget: int = 5_000_000) -> int:
     placing it at the earliest feasible time; bounds with the larger of the
     partial makespan and each job's remaining minimum work. Deterministic.
     Raises BudgetExceededError with the incumbent and the root bound when
-    the node budget runs out.
+    the node budget, an int >= 1, runs out.
     """
-    if node_budget < 1:
-        raise ValueError(f"node budget must be >= 1, got {node_budget}")
+    require_int(node_budget, "node budget", 1)
     n_jobs = len(inst.jobs)
     op_counts = [len(job.operations) for job in inst.jobs]
     # remaining minimum work for job j from operation h onward

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
-from .errors import DimensionError, require_finite, require_type, require_weights
+from .errors import DimensionError, require_finite, require_int, require_type, require_weights
 from .qubo import QuboBuilder, QuboMatrix
 
 __all__ = [
@@ -152,15 +152,13 @@ class PeptideProblem:
     label: str | None = None
 
     def __post_init__(self):
-        require_type([self.positions], (int,), "positions")
+        require_int(self.positions, "positions", 1)
         require_type([self.half_water_per_acid], (bool,), "half_water_per_acid")
         require_type([] if self.label is None else [self.label], (str,), "label")
         object.__setattr__(self, "target_mass_raw", require_finite(self.target_mass_raw, "target_mass"))
         object.__setattr__(self, "calibrated_mass", require_finite(self.calibrated_mass, "calibrated_mass"))
         if not self.target_mass_raw > 0:
             raise ValueError(f"target_mass must be positive, got {self.target_mass_raw}")
-        if self.positions < 1:
-            raise ValueError(f"positions must be >= 1, got {self.positions}")
         if not self.calibrated_mass > 0:
             raise ValueError(f"calibrated mass must be positive, got {self.calibrated_mass}")
         if self.table not in _TABLES:
@@ -218,9 +216,7 @@ class CountEncodingConfig:
     length_mid: float = 0.0
 
     def __post_init__(self):
-        require_type([self.bits_per_acid], (int,), "bits_per_acid")
-        if not 1 <= self.bits_per_acid <= 8:
-            raise ValueError(f"bits_per_acid must be in [1, 8], got {self.bits_per_acid}")
+        require_int(self.bits_per_acid, "bits_per_acid", 1, 8)
         require_weights({"mass_weight": self.mass_weight, "length_weight": self.length_weight}, positive=False)
         object.__setattr__(self, "length_mid", require_finite(self.length_mid, "length_mid"))
 

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, DimensionError, require_type
+from .errors import DegenerateMatrixError, DimensionError, require_finite, require_int, require_type
 
 __all__ = [
     "IsingConvention",
@@ -315,7 +315,7 @@ class QuantizedQubo(_Terms):
     matrix is intentionally not quantized; solvers rank by relative energy.
     Stored like QuboMatrix, in int64 arrays; ``int_diag`` is a tuple and
     ``int_upper`` the array-backed Mapping view of ``QuboMatrix.upper``,
-    with int values.
+    with int values. ``scale`` is a finite int or float > 0, stored as a float.
     """
 
     __slots__ = ("scale", "report")
@@ -325,7 +325,7 @@ class QuantizedQubo(_Terms):
     int_upper = property(_PairView)
 
     def __init__(self, n: int, int_diag, int_upper: Mapping, scale: float, report: QuantizationReport):
-        if not scale > 0:
+        if not (scale := require_finite(scale, "scale")) > 0:
             raise ValueError(f"scale must be positive, got {scale!r}")
         self._store(n, int_diag, int_upper, np.int64, scale=scale, report=report)
         values = np.concatenate([self.lin, self.vals])
@@ -352,13 +352,12 @@ class QuboBuilder:
 
     Terms are appended to arrays, singly or in batches, and coalesced once
     by ``build()``: contributions to one pair add up in the order they were
-    made, as in a dict, and pairs that cancel to zero are dropped.
+    made, as in a dict, and pairs that cancel to zero are dropped. ``n`` is
+    an int >= 1.
     """
 
     def __init__(self, n: int):
-        if n < 1:
-            raise ValueError(f"need at least one variable, got n={n}")
-        self.n = n
+        self.n = require_int(n, "n", 1)
         self._diag = np.zeros(n)
         self._pairs = [_Pairs(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]  # build() needs one batch
         self._offset = 0.0
@@ -439,11 +438,11 @@ def qubo_energy(q: QuboMatrix, x: Sequence[int]) -> float:
 def add_squared_penalty(q: QuboMatrix, coeffs: Sequence[float], constant: float, weight: float) -> QuboMatrix:
     """Return q plus the penalty weight * (sum_i coeffs[i] x_i + constant)^2.
 
-    weight must be strictly positive; penalties never reward violations.
+    weight must be a finite int or float > 0; penalties never reward violations.
     """
     if len(coeffs) != q.n:
         raise DimensionError(f"coeffs has {len(coeffs)} entries for n={q.n}")
-    if not weight > 0:
+    if not (weight := require_finite(weight, "penalty weight")) > 0:
         raise ValueError(f"penalty weight must be positive, got {weight!r}")
     builder = QuboBuilder(q.n)
     builder.add_diag(np.arange(q.n), q.lin)

@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import BudgetExceededError, require_finite, require_type
+from .errors import BudgetExceededError, require_finite, require_int, require_type
 from .qubo import (  # qubo_energy, ising_energy: kept in this namespace, bench/spans.py wraps them
     IsingConvention,
     IsingModel,
@@ -58,6 +58,13 @@ def _require_seed(seed) -> None:
         raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
 
 
+def _require_probability(p, what: str) -> None:
+    """The one flip-probability rule: an int or float in [0, 1)."""
+    require_type([p], (int, float), what)
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"{what} must be in [0, 1), got {p}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Annealer settings.
@@ -82,23 +89,15 @@ class SolverConfig:
     emulate_latency_ms: int = 0
 
     def __post_init__(self):
-        for name in ("sweeps", "restarts", "top_k", "emulate_latency_ms"):
-            require_type([getattr(self, name)], (int,), name)
-        require_type([self.readout_flip_prob], (int, float), "readout_flip_prob")
+        require_int(self.sweeps, "sweeps", 1)
+        require_int(self.restarts, "restarts", 1)
+        require_int(self.top_k, "top_k", 1, MAX_SOLUTIONS)
+        require_int(self.emulate_latency_ms, "emulate_latency_ms", 0)
+        _require_probability(self.readout_flip_prob, "readout_flip_prob")
         for name in ("temp_initial", "temp_final"):
             if getattr(self, name) is not None:
                 require_finite(getattr(self, name), name)
         _require_seed(self.seed)
-        if self.sweeps < 1:
-            raise ValueError(f"sweeps must be >= 1, got {self.sweeps}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not 1 <= self.top_k <= MAX_SOLUTIONS:
-            raise ValueError(f"top_k must be in [1, {MAX_SOLUTIONS}], got {self.top_k}")
-        if not 0.0 <= self.readout_flip_prob < 1.0:
-            raise ValueError(f"readout_flip_prob must be in [0, 1), got {self.readout_flip_prob}")
-        if self.emulate_latency_ms < 0:
-            raise ValueError("emulate_latency_ms must be >= 0")
         if (self.temp_initial is None) != (self.temp_final is None):
             raise ValueError("give both temperatures or neither")
         if self.temp_initial is not None:
@@ -162,9 +161,7 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
     spins and B the rest, E(a, b) = E_A(a) + E_B(b) + a^T J_AB b is summed
     in float64 for up to 2**20 states (8 MiB) at a time; the k lowest are ranked.
     """
-    require_type([top_k], (int,), "top_k")
-    if not 1 <= top_k <= MAX_SOLUTIONS:
-        raise ValueError(f"top_k must be in [1, {MAX_SOLUTIONS}], got {top_k}")
+    require_int(top_k, "top_k", 1, MAX_SOLUTIONS)
     work = _as_positive_ising(model)
     if work.n > MAX_EXACT_VARIABLES:
         raise BudgetExceededError(
@@ -429,6 +426,12 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     return result
 
 
+def _original_energies(original: QuboMatrix, solutions) -> list[float]:
+    """Each solution's energy under the unquantized matrix, in order."""
+    bits = (np.array([vec for vec, _ in solutions]) + 1) // 2
+    return batch_energy(original, bits).tolist()
+
+
 def apply_readout_noise(result: SolveResult, p: float, seed: int) -> SolveResult:
     """Flip each spin of each solution independently with probability p.
 
@@ -437,10 +440,8 @@ def apply_readout_noise(result: SolveResult, p: float, seed: int) -> SolveResult
     the result unchanged. The seed follows SolverConfig's rule: an int in
     [0, 2**64).
     """
-    require_type([p], (int, float), "flip probability")
+    _require_probability(p, "flip probability")
     _require_seed(seed)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"flip probability must be in [0, 1), got {p}")
     if p == 0.0:
         return result
     spins = np.array([vec for vec, _ in result.solutions])
@@ -450,8 +451,7 @@ def apply_readout_noise(result: SolveResult, p: float, seed: int) -> SolveResult
     meta["readout_flip_prob"] = p
     meta["readout_seed"] = seed
     if result.original_model is not None:
-        bits = (np.array([vec for vec, _ in solutions]) + 1) // 2
-        meta["original_energies"] = batch_energy(result.original_model, bits).tolist()
+        meta["original_energies"] = _original_energies(result.original_model, solutions)
     return SolveResult(solutions, meta, result.model, result.original_model)
 
 
@@ -470,8 +470,7 @@ def solve_quantized(q: QuboMatrix, config: SolverConfig | None = None) -> SolveR
     meta["quantized"] = True
     meta["scale"] = quantized.scale
     meta["quant_report"] = quantized.report.to_doc()
-    bits = (np.array([vec for vec, _ in result.solutions]) + 1) // 2
-    meta["original_energies"] = batch_energy(q, bits).tolist()
+    meta["original_energies"] = _original_energies(q, result.solutions)
     return SolveResult(result.solutions, meta, result.model, original_model=q)
 
 

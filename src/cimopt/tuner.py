@@ -23,7 +23,7 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .errors import PolicyError, require_finite, require_type, require_weights
+from .errors import PolicyError, require_finite, require_int, require_type, require_weights
 from .fjsp import (
     FjspInstance,
     FjspWeights,
@@ -248,12 +248,14 @@ class Decoded(NamedTuple):
 
 
 class FjspTask:
-    """Tuning adapter for a scheduling instance."""
+    """Tuning adapter for a scheduling instance; ``quantize``, a bool, solves
+    through the int8 pipeline."""
 
     kind = "fjsp"
     weight_names = ("alpha", "beta", "gamma", "delta")
 
     def __init__(self, instance: FjspInstance, h3_mode: str = "strict", quantize: bool = False):
+        require_type([quantize], (bool,), "quantize")
         self.instance = instance
         self.h3_mode = h3_mode
         self.quantize = quantize
@@ -275,7 +277,8 @@ class FjspTask:
 
 
 class PeptideTask:
-    """Tuning adapter for a composition problem (one-hot or count encoding)."""
+    """Tuning adapter for a composition problem (one-hot or count encoding);
+    ``quantize``, a bool, solves through the int8 pipeline."""
 
     def __init__(
         self,
@@ -287,6 +290,7 @@ class PeptideTask:
     ):
         if encoding not in ("onehot", "count"):
             raise ValueError(f"unknown encoding {encoding!r}")
+        require_type([quantize], (bool,), "quantize")
         self.problem = problem
         self.encoding = encoding
         self.count_cfg = count_cfg or CountEncodingConfig(length_mid=problem.positions)
@@ -361,10 +365,8 @@ def run_tuning(
     attached; they are never swallowed. ``max_iter`` and ``max_history``
     must be ints >= 1 (ValueError).
     """
-    for name, value in (("max_iter", max_iter), ("max_history", max_history)):
-        require_type([value], (int,), name)
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    require_int(max_iter, "max_iter", 1)
+    require_int(max_history, "max_history", 1)
     solver_config = solver_config or SolverConfig()
     memory = TunerMemory(max_history=max_history)
     records: list[IterationRecord] = []

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cimopt.cli import main
+from cimopt.cli import _solver_config, build_parser, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 PY = sys.executable
@@ -90,6 +90,16 @@ class TestFjspCommand:
         assert rc in (0, 2)  # parsing is under test, not solve luck at this budget
         doc = read_json(tmp_path / "result.json")
         assert doc["weights_initial"] == {"alpha": 150.0, "beta": 100.0, "gamma": 500.0, "delta": 15.0}
+
+    def test_cim_realism_draws_a_seeded_latency(self):
+        def latency(seed):
+            args = build_parser().parse_args(["fjsp", "--cim-realism", "--seed", str(seed)])
+            return _solver_config(args).emulate_latency_ms
+
+        drawn = [latency(seed) for seed in range(5)]
+        assert all(61_000 <= ms <= 121_000 for ms in drawn)
+        assert drawn == [latency(seed) for seed in range(5)]
+        assert len(set(drawn)) > 1
 
     def test_weights_flag_wrong_arity(self, tmp_path, capsys):
         rc = main(["fjsp", "--weights", "1,2", "--out", str(tmp_path)])

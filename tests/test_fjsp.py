@@ -442,6 +442,11 @@ class TestExactOracle:
         with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
             exact_min_makespan(table1, node_budget=budget)
 
+    @pytest.mark.parametrize("budget", [True, 2.5])  # both used to run
+    def test_non_integer_budget_rejected(self, table1, budget):
+        with pytest.raises(ValueError, match=f"node budget must be int, got {budget}"):
+            exact_min_makespan(table1, node_budget=budget)
+
     def test_flexible_choice(self):
         inst = FjspInstance.build(2, 10, [[[4, 1]], [[1, 4]]])
         assert exact_min_makespan(inst) == 1

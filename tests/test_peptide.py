@@ -193,6 +193,7 @@ class TestOneHotBuilder:
             lambda: CountEncodingConfig(mass_weight=float("nan")),
             lambda: PeptideWeights("1", 1),
             lambda: CountEncodingConfig(length_weight=True),
+            lambda: PeptideWeights(np.float64(1.0), 1),  # weights follow require_finite's exact-type rule
         ],
     )
     def test_non_finite_or_non_numeric_weight_rejected(self, build):

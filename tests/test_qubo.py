@@ -412,6 +412,12 @@ class TestArrayCore:
             (lambda: QuboMatrix(2, [0.0, 0.0], {}, offset=True), "must be numbers, got bools"),
             (lambda: QuboMatrix(True, [1.0], {}), "n must be an integer, got True"),  # read as n = 1
             (lambda: QuantizedQubo(1, [True], {}, 1.0, QuantizationReport(0.0, 0.0, 1.0)), "got bools"),
+            # was stored as True
+            (lambda: QuantizedQubo(1, [1], {}, True, QuantizationReport(0.0, 0.0, 1.0)), "scale must be int or float"),
+            (lambda: QuboBuilder(True), "n must be int, got True"),  # a numpy TypeError
+            (lambda: QuboBuilder(2.5), "n must be int, got 2.5"),  # a numpy TypeError
+            # built with weight 1
+            (lambda: add_squared_penalty(TWO_VAR, (1.0, 1.0), -1.0, True), "penalty weight must be int or float, got True"),
         ],
     )
     def test_bools_and_strings_rejected(self, build, message):

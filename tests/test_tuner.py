@@ -348,6 +348,19 @@ class TestRunTuning:
         with pytest.raises(ValueError, match=message):
             run_tuning(FjspTask(table1), WEIGHTS0, rule_policy_fjsp, FAST, **limits)
 
+    @pytest.mark.parametrize(
+        "make_task",
+        [
+            lambda inst: FjspTask(inst, quantize="no"),
+            lambda _: PeptideTask(make_problem(128.13, positions=2), quantize="no"),
+        ],
+        ids=["fjsp", "peptide"],
+    )
+    def test_quantize_flag_must_be_bool(self, table1, make_task):
+        # "no" is truthy, so the run used to quantize
+        with pytest.raises(ValueError, match="quantize must be bool, got 'no'"):
+            make_task(table1)
+
     def test_single_shot_policy(self, table1):
         task = FjspTask(table1)
         report = run_tuning(task, WEIGHTS0, single_shot_policy, FAST, max_iter=5)
