@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-import operator
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import FrozenInstanceError, asdict, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -105,10 +104,7 @@ class _Terms:
     def _store(self, n, lin, pairs: Mapping, dtype=np.float64, **scalars) -> None:
         """Validate once, by vectorized checks, and freeze the arrays."""
         lin_name, pair_name = self._NAMES
-        if isinstance(n, bool):
-            raise ValueError(f"n must be an integer, got {n!r}")
-        if (n := operator.index(n)) < 1:
-            raise ValueError(f"need at least one variable, got n={n}")
+        n = require_int(n, "n", 1)
         if (lin := _frozen(lin, dtype)).shape != (n,):
             raise DimensionError(f"{lin_name} has {lin.size} entries for n={n}")
         if not isinstance(pairs, _Pairs):
@@ -333,9 +329,15 @@ class QuantizedQubo(_Terms):
             raise ValueError(f"quantized value {values[k]} outside [{INT8_MIN}, {INT8_MAX}]")
 
     def to_matrix(self) -> QuboMatrix:
-        """The integer coefficients as a QuboMatrix with zero offset."""
-        keep = self.vals != 0
-        return QuboMatrix(self.n, self.lin, _Pairs(self.rows[keep], self.cols[keep], self.vals[keep]))
+        """The integer coefficients as a QuboMatrix with zero offset.
+
+        Pairs that rounded to 0 are dropped; when there are none, the
+        matrix shares this one's read-only index arrays.
+        """
+        pairs = _Pairs(self.rows, self.cols, self.vals)
+        if not (keep := self.vals != 0).all():
+            pairs = _Pairs(self.rows[keep], self.cols[keep], self.vals[keep])
+        return QuboMatrix(self.n, self.lin, pairs)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, require_finite, require_int, require_type
 from .qubo import (  # qubo_energy, ising_energy: kept in this namespace, bench/spans.py wraps them
+    INT8_MAX,
     IsingConvention,
     IsingModel,
     QuboMatrix,
@@ -201,16 +202,49 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
 
 
 def _dense_fields(work: IsingModel) -> tuple[np.ndarray, np.ndarray]:
-    # float32 is exact when every coefficient is a multiple of 1/4 and
-    # 8 (max|h| + n max|J|) < 2**24: each field, partial sum, +-2-spin flip
-    # update and energy term is then a multiple of 1/4 that fits float32's
-    # 24-bit significand, so the anneal matches float64 bit for bit
+    """The fields ``h`` and the dense symmetric couplings of ``work``, in the
+    dtypes the anneal runs in; ``h.dtype`` is the state dtype.
+
+    float32 is exact when every coefficient is a multiple of 1/4 and
+    8 (max|h| + n max|J|) < 2**24: each field, partial sum, +-2-spin flip
+    update and energy term is then a multiple of 1/4 that fits float32's
+    24-bit significand, so the anneal matches float64 bit for bit. In that
+    regime, if every |4 J_ij| <= 127, the couplings are stored as int8
+    holding 4J, which is every int8-quantized model (there 4 J_ij = Q_ij):
+    n**2 bytes instead of 4 n**2. Every other model keeps float32 or
+    float64 couplings, in the dtype of ``h``.
+    """
     quarters = np.concatenate([work.lin, work.vals]) * 4.0
     bound = 8.0 * (np.abs(work.lin).max() + work.n * np.abs(work.vals).max(initial=0.0))
     dtype = np.float32 if bound < 2**24 and np.array_equal(quarters, np.round(quarters)) else np.float64
-    jmat = np.zeros((work.n, work.n), dtype)
-    jmat[work.rows, work.cols] = jmat[work.cols, work.rows] = work.vals
+    coupling_dtype, vals = dtype, work.vals
+    if dtype == np.float32 and np.abs(quarters[work.n :]).max(initial=0.0) <= INT8_MAX:
+        coupling_dtype, vals = np.int8, quarters[work.n :].astype(np.int8)  # 4J
+    jmat = np.zeros((work.n, work.n), coupling_dtype)
+    jmat[work.rows, work.cols] = jmat[work.cols, work.rows] = vals
     return work.lin.astype(dtype), jmat
+
+
+_WIDEN_ROWS = 256  # int8 coupling rows widened to the state dtype at a time
+
+
+def _fields(spins: np.ndarray, jmat: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """spins @ J + h, in the state dtype.
+
+    An int8 ``jmat`` holds 4J. It is widened ``_WIDEN_ROWS`` rows at a time,
+    since a single ``spins @ jmat`` would widen a copy of all n x n
+    couplings. int8 couplings occur only in the exact regime, where every
+    partial sum is exact, so the chunking does not change the result.
+    Other dtypes keep ``spins @ jmat + h`` and its summation order.
+    """
+    if jmat.dtype != np.int8:
+        return spins @ jmat + h
+    fields = spins[:, :_WIDEN_ROWS] @ jmat[:_WIDEN_ROWS]
+    for start in range(_WIDEN_ROWS, h.size, _WIDEN_ROWS):
+        fields += spins[:, start : start + _WIDEN_ROWS] @ jmat[start : start + _WIDEN_ROWS]
+    fields *= 0.25
+    fields += h
+    return fields
 
 
 def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float]:
@@ -222,7 +256,7 @@ def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float
 
 def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float):
     """Run restart-batched annealing chains, yielding ``(spins, energies)``
-    after every sweep: the restarts' spins in the dtype of ``jmat`` and their
+    after every sweep: the restarts' spins in the dtype of ``h`` and their
     float64 energies less the offset, in buffers the next sweep overwrites.
 
     Spins are visited in a fresh random order every sweep; orders and blocks
@@ -230,12 +264,14 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     their own per-restart streams (seed XOR restart index). Within a block,
     acceptance tests use the fields from before the block (single-spin
     semantics hold exactly when blocks are singletons, which is forced for
-    small models). Spins and fields take the dtype of ``h`` and ``jmat``,
-    which ``_dense_fields`` makes float32 only where that is exact; the
-    acceptance test and the energies are float64 either way.
+    small models). Spins and fields take the dtype of ``h``, which
+    ``_dense_fields`` makes float32 only where that is exact; the
+    acceptance test and the energies are float64 either way. ``jmat`` has
+    that dtype too, or is int8 holding 4J (see ``_dense_fields``).
 
     Every buffer and block view the sweep uses is made once per solve;
-    only the field resync every 256 sweeps allocates.
+    only the field resync every 256 sweeps allocates, and, with int8
+    couplings, each block's matmul, which widens its rows itself.
     Each restart draws its acceptance uniforms for up to ``chunk`` sweeps
     in one call, into a buffer of at most 2**17 doubles (1 MiB; one
     sweep's worth if that alone is larger). A Generator fills its output
@@ -246,8 +282,10 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
 
     Each sweep gathers the spins once in visiting order (``visit``) and
     derives two buffers from it: the flip deltas -2 * visit, and
-    visit * 2beta in float64. As s = +-1, (s * 2beta) * f is bit for bit
-    (s * f) * 2beta, so a block needs one product for -dE * beta. The test
+    visit * 2beta in float64. With int8 couplings the deltas are
+    -0.5 * visit, so that delta @ 4J multiplies exactly the values that
+    (-2 * visit) @ J would, and every field is bit for bit the same.
+    As s = +-1, (s * 2beta) * f is bit for bit (s * f) * 2beta, so a block needs one product for -dE * beta. The test
     u < exp(-dE * beta) needs no clamp of the exponent at 0: a positive one
     gives exp >= 1 > u, as the clamp would, and one past exp's range gives
     inf, so overflow warnings are silenced. Each block writes its deltas
@@ -261,7 +299,8 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     energy plus the offset equals its re-evaluation, in sign too unless
     the offset is -0.0.
     Every spin is visited once per sweep, so no block reads a spin that an
-    earlier block of the sweep flipped: after the last block,
+    earlier block of the sweep flipped: after the last block (and
+    ``delta *= 4`` with int8 couplings, which keeps the signs of zeros),
     ``visit += delta`` applies the flips (s - 2s = -s and
     s + 0 = s, both exact) and one gather through the inverse of the
     visiting order writes them back to ``spins``.
@@ -271,10 +310,12 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     rngs = [np.random.default_rng((config.seed ^ r) & _SEED_MASK) for r in range(restarts)]
     schedule_rng = np.random.default_rng((config.seed ^ _SCHEDULE_SALT) & _SEED_MASK)
 
-    spins = np.empty((restarts, n), jmat.dtype)
+    spins = np.empty((restarts, n), h.dtype)
     for r, rng in enumerate(rngs):
         spins[r] = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
-    fields = spins @ jmat + h
+    fields = _fields(spins, jmat, h)
+    holds_4j = jmat.dtype == np.int8
+    step = -0.5 if holds_4j else -2.0  # flip delta per unit spin
 
     sweeps = config.sweeps
     temps = t0 * (t1 / t0) ** (np.arange(sweeps) / max(sweeps - 1, 1))
@@ -287,7 +328,7 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     order, inverse = np.empty(n, np.intp), np.empty(n, np.intp)
     uniforms = np.empty((restarts, n))
     visit = np.empty_like(spins)
-    minus2 = np.empty_like(spins)  # flip deltas
+    flips = np.empty_like(spins)  # flip deltas, step * visit
     delta = np.empty_like(spins)  # flip deltas of accepted flips, +-0 elsewhere
     visit2b = np.empty((restarts, n))  # visit * 2 beta
     dfields = np.empty_like(spins)
@@ -295,14 +336,14 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     energies = np.empty(restarts)
     spans = np.array_split(natural, n if n <= 32 else (n + 15) // 16)
     widest = spans[0].size
-    f_buf, p_buf = np.empty(restarts * widest, jmat.dtype), np.empty(restarts * widest)
+    f_buf, p_buf = np.empty(restarts * widest, h.dtype), np.empty(restarts * widest)
     a_buf = np.empty(restarts * widest, bool)
     j_buf = np.empty((widest, n), jmat.dtype)
     blocks = []
     for span in spans:
         cols, w = slice(int(span[0]), int(span[-1]) + 1), span.size
         f_blk, p, accept = (buf[: restarts * w].reshape(restarts, w) for buf in (f_buf, p_buf, a_buf))
-        blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], accept, minus2[:, cols], delta[:, cols], j_buf[:w]))
+        blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], accept, flips[:, cols], delta[:, cols], j_buf[:w]))
 
     for sweep in range(sweeps):
         row = sweep % chunk
@@ -313,23 +354,25 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
         order[:] = natural
         schedule_rng.shuffle(order)
         spins.take(order, 1, visit, "clip")
-        np.multiply(visit, -2.0, out=minus2)
+        np.multiply(visit, step, out=flips)
         np.multiply(visit, 2.0 / temps[sweep], out=visit2b, dtype=np.float64)
         with np.errstate(over="ignore"):
-            for block, f_blk, v2b, p, u, accept, m2, d_blk, j_blk in blocks:
+            for block, f_blk, v2b, p, u, accept, fl, d_blk, j_blk in blocks:
                 fields.take(block, 1, f_blk, "clip")
                 np.multiply(v2b, f_blk, out=p)  # -dE of each flip, times beta
                 np.exp(p, out=p)
                 np.less(u, p, out=accept)
-                np.multiply(m2, accept, out=d_blk)
+                np.multiply(fl, accept, out=d_blk)
                 if np.count_nonzero(accept):
                     jmat.take(block, 0, j_blk, "clip")
                     fields += np.matmul(d_blk, j_blk, out=dfields)
+        if holds_4j:
+            delta *= 4.0
         visit += delta
         inverse[order] = natural
         visit.take(inverse, 1, spins, "clip")
         if (sweep & 255) == 255:
-            fields = spins @ jmat + h  # shed incremental-update drift
+            fields = _fields(spins, jmat, h)  # shed incremental-update drift
         np.add(fields, h, out=local)
         np.multiply(spins, local, out=local)
         np.add.reduce(local, axis=1, dtype=np.float64, out=energies)
@@ -389,7 +432,9 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     across all chains are pooled and ranked by (energy, vector). A float32
     anneal (see ``_dense_fields``) is exact, so its pooled energies plus
     the offset are already what ``batch_energy`` gives and are ranked as
-    they are. A float64 anneal's pooled energies carry the drift of the
+    they are. An int8-quantized model's couplings are held as int8, n**2
+    bytes instead of float32's 4 n**2, with the same results. A float64
+    anneal's pooled energies carry the drift of the
     incremental field updates (up to about 1.5e-7 on LACRP4), so its
     states are re-evaluated by ``batch_energy`` first. Seeds therefore
     share chain streams: with the default 8 restarts, seeds 0-7 all run

@@ -28,6 +28,11 @@ RUNS = {
     "peptide-i2-s200-seed1": ["peptide", "-i", "2", "--sweeps", "200", "--seed", "1"],
     # ends violation-free, so a change to the one-hot anneal shows in its compositions
     "peptide-w1000-i3-s300-seed1": ["peptide", "--weights", "1000,1", "-i", "3", "--sweeps", "300", "--seed", "1"],
+    # the int8 path at n = 260: crosses the 256-row chunk of the field
+    # resync, and the resync after sweep 256
+    "peptide-quantize-w1000-i3-s300-seed1": [
+        "peptide", "--quantize", "--weights", "1000,1", "-i", "3", "--sweeps", "300", "--seed", "1",
+    ],
     "peptide-count-i1-s100-seed2": ["peptide", "--encoding", "count", "-i", "1", "--sweeps", "100", "--seed", "2"],
     "fjsp-i2-s200-seed4-flip005": [
         "fjsp", "-i", "2", "--sweeps", "200", "--seed", "4", "--readout-flip-prob", "0.05",

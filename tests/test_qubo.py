@@ -208,6 +208,19 @@ class TestQuantization:
         assert original_best == (1, 1, 0)
         assert quantized_best != original_best
 
+    def test_to_matrix_shares_index_arrays_when_nothing_rounded_to_zero(self):
+        quantized = quantize_int8(QuboMatrix(3, (127.0, -5.0, 33.0), {(0, 1): 4.0, (0, 2): -127.0}))
+        m = quantized.to_matrix()
+        assert np.shares_memory(m.rows, quantized.rows) and np.shares_memory(m.cols, quantized.cols)
+        assert m.upper == {(0, 1): 4.0, (0, 2): -127.0} and m.diag == (127.0, -5.0, 33.0)
+
+    def test_to_matrix_drops_pairs_that_rounded_to_zero(self):
+        quantized = quantize_int8(QuboMatrix(3, (200.0, 1.0, 2.0), {(0, 1): 0.0003, (1, 2): -100.0}))
+        assert quantized.int_upper == {(0, 1): 0, (1, 2): -64}
+        m = quantized.to_matrix()
+        assert m.upper == {(1, 2): -64.0}
+        assert not np.shares_memory(m.rows, quantized.rows)
+
 
 class TestCoefficientStats:
     def test_three_orders(self):
@@ -410,7 +423,12 @@ class TestArrayCore:
             (lambda: QuboMatrix(2, [True, False], {}), "must be numbers, got bools"),
             (lambda: IsingModel(2, [0.0, 0.0], {(0, 1): "0.5"}), "must be numbers, got strings"),
             (lambda: QuboMatrix(2, [0.0, 0.0], {}, offset=True), "must be numbers, got bools"),
-            (lambda: QuboMatrix(True, [1.0], {}), "n must be an integer, got True"),  # read as n = 1
+            # read as n = 1; an explicit id, since QuboBuilder(True) below has the same message
+            pytest.param(
+                lambda: QuboMatrix(True, [1.0], {}), "n must be int, got True", id="QuboMatrix-n must be int, got True"
+            ),
+            (lambda: QuboMatrix(2.0, [1.0, 2.0], {}), "n must be int, got 2.0"),  # a TypeError
+            (lambda: QuboMatrix(np.int64(2), [1.0, 2.0], {}), "n must be int, got"),  # accepted, unlike QuboBuilder
             (lambda: QuantizedQubo(1, [True], {}, 1.0, QuantizationReport(0.0, 0.0, 1.0)), "got bools"),
             # was stored as True
             (lambda: QuantizedQubo(1, [1], {}, True, QuantizationReport(0.0, 0.0, 1.0)), "scale must be int or float"),

@@ -397,19 +397,29 @@ def quarter_grid_model(top, n=40):
 
 
 def state_dtype(model):
+    return solver._dense_fields(solver._as_positive_ising(model))[0].dtype
+
+
+def coupling_dtype(model):
     return solver._dense_fields(solver._as_positive_ising(model))[1].dtype
+
+
+def reference_fields(h, jmat):
+    """``h`` and J in float64, as ``reference_anneal_pool`` takes them: an
+    int8 ``jmat`` holds 4J."""
+    return h.astype(np.float64), jmat.astype(np.float64) / (4.0 if jmat.dtype == np.int8 else 1.0)
 
 
 FLOAT32_TOP = (2**24 - 1) // 82  # largest top with 2 (40 + 1) top < 2**24
 
 GOLDEN = {
     "fjsp": (bundled_fjsp, solve_annealed, np.float32),
-    "lacrp4-quantized": (lambda: build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1)), solve_quantized, np.float32),
+    "lacrp4-quantized": (lambda: build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1)), solve_quantized, np.int8),
     "lacrp4-onehot": (lambda: build_onehot_qubo(lacrp4(), PeptideWeights(1000, 1)), solve_annealed, np.float64),
     "count": (lambda: build_count_qubo(lacrp4(), CountEncodingConfig()), solve_annealed, np.float64),
     "singletons-float64": (lambda: random_model(np.random.default_rng(5), 12), solve_annealed, np.float64),
     "singletons-float32": (
-        lambda: quantize_int8(random_model(np.random.default_rng(6), 20)).to_matrix(), solve_annealed, np.float32
+        lambda: quantize_int8(random_model(np.random.default_rng(6), 20)).to_matrix(), solve_annealed, np.int8
     ),
     "at-float32-bound": (lambda: quarter_grid_model(FLOAT32_TOP), solve_annealed, np.float32),
 }
@@ -432,7 +442,7 @@ class TestAnnealStateDtype:
             return solve(q, config)
 
         def reference(h, jmat, *args):
-            return reference_anneal_pool(h.astype(np.float64), jmat.astype(np.float64), *args)
+            return reference_anneal_pool(*reference_fields(h, jmat), *args)
 
         result = run(solver._anneal_pool)
         expected = run(reference)
@@ -470,8 +480,8 @@ class TestAnnealStateDtype:
         config = SolverConfig(**{"sweeps": 300, "seed": n, **settings})
         t0, t1 = solver._resolve_temps(config, work)
         pool = solver._anneal_pool(h, jmat, config, t0, t1)
-        expected = reference_anneal_pool(h.astype(np.float64), jmat.astype(np.float64), config, t0, t1)
-        assert jmat.dtype == (np.float32 if quantized else np.float64)
+        expected = reference_anneal_pool(*reference_fields(h, jmat), config, t0, t1)
+        assert jmat.dtype == (np.int8 if quantized else np.float64)
         assert list(pool.items()) == list(expected.items())
 
     def test_draw_buffer_is_bounded(self):
@@ -494,6 +504,55 @@ class TestAnnealStateDtype:
         q = random_model(np.random.default_rng(3), 40, magnitude=300.0)
         assert state_dtype(q) == np.float64
         assert state_dtype(quantize_int8(q).to_matrix()) == np.float32
+
+    def test_quantized_couplings_are_stored_as_int8_quarters(self):
+        q = quantize_int8(random_model(np.random.default_rng(3), 40, magnitude=300.0)).to_matrix()
+        work = solver._as_positive_ising(q)
+        h, jmat = solver._dense_fields(work)
+        assert h.dtype == np.float32 and jmat.dtype == np.int8
+        upper = np.zeros((q.n, q.n))
+        upper[q.rows, q.cols] = q.vals  # 4 J_ij = Q_ij
+        assert np.array_equal(jmat, upper + upper.T)
+
+    @pytest.mark.parametrize(
+        "j, couplings", [(127 / 4, np.int8), (-127 / 4, np.int8), (32.0, np.float32), (-32.0, np.float32)]
+    )
+    def test_int8_storage_edges(self, j, couplings):
+        # int8 needs every |4 J| <= 127 in the exact float32 regime
+        model = IsingModel(3, (300.0, 0.25, -0.5), {(0, 1): j, (1, 2): 0.75})
+        assert state_dtype(model) == np.float32
+        assert coupling_dtype(model) == couplings
+
+    def test_negated_sum_quantized_model_takes_int8(self):
+        q = quantize_int8(random_model(np.random.default_rng(4), 30)).to_matrix()
+        assert coupling_dtype(qubo_to_ising(q, IsingConvention.NEGATED_SUM)) == np.int8
+
+    def test_float64_models_keep_float64_couplings(self):
+        assert coupling_dtype(random_model(np.random.default_rng(3), 40)) == np.float64
+        assert coupling_dtype(IsingModel(2, (0.0, 0.0), {(0, 1): 0.1})) == np.float64
+        assert coupling_dtype(IsingModel(2, (0.0, 0.0), {(0, 1): 2.0**20})) == np.float64
+
+    def test_int8_anneal_never_widens_the_whole_matrix(self):
+        # n = 2,000: a float32 copy of the couplings is 16 MB; 260 sweeps
+        # cross the field resync after sweep 256
+        n = 2000
+        rng = np.random.default_rng(2000)
+        builder = QuboBuilder(n)
+        builder.add_diag(np.arange(n), rng.uniform(-50.0, 50.0, n))
+        i = rng.integers(0, n, 20_000)
+        builder.add_pairs(i, (i + rng.integers(1, n, i.size)) % n, rng.uniform(-10.0, 10.0, i.size))
+        work = solver._as_positive_ising(quantize_int8(builder.build()).to_matrix())
+        h, jmat = solver._dense_fields(work)
+        assert jmat.dtype == np.int8
+        config = SolverConfig(sweeps=260, seed=1)
+        t0, t1 = solver._resolve_temps(config, work)
+        tracemalloc.start()
+        try:
+            solver._anneal_pool(h, jmat, config, t0, t1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 4 * n * n
 
     def test_one_off_grid_coefficient_takes_float64(self):
         assert state_dtype(IsingModel(3, (1.0, 0.25, -0.5), {(0, 1): 2.0, (1, 2): 0.75})) == np.float32
@@ -546,7 +605,7 @@ class TestSweepStream:
     def test_kernel_yields_exact_states_whatever_top_k(self):
         work = solver._as_positive_ising(quantize_int8(random_model(np.random.default_rng(9), 40)).to_matrix())
         h, jmat = solver._dense_fields(work)
-        assert jmat.dtype == np.float32
+        assert jmat.dtype == np.int8
         streams = []
         for top_k in (1, 10):
             config = SolverConfig(sweeps=300, seed=4, top_k=top_k)  # crosses the resync after sweep 256
