@@ -102,7 +102,12 @@ class _Terms:
     _SCALARS: tuple[str, ...] = ()  # further fields compared by ==
 
     def _store(self, n, lin, pairs: Mapping, dtype=np.float64, **scalars) -> None:
-        """Validate once, by vectorized checks, and freeze the arrays."""
+        """Validate once, by vectorized checks, and freeze the arrays.
+
+        An array already read-only and of its dtype is held, not copied.
+        The checks make boolean temporaries only; pairs out of order are
+        sorted by an int64 key ``rows * n + cols``, made only then.
+        """
         lin_name, pair_name = self._NAMES
         n = require_int(n, "n", 1)
         if (lin := _frozen(lin, dtype)).shape != (n,):
@@ -119,9 +124,8 @@ class _Terms:
             raise ValueError(f"{pair_name} key ({rows[k]}, {cols[k]}) is not an upper-triangular pair for n={n}")
         if (k := _first(~np.isfinite(vals))) is not None:
             raise ValueError(f"{pair_name} coefficient at ({rows[k]}, {cols[k]}) is not finite: {vals[k]}")
-        key = rows * n + cols
-        if np.any(key[1:] <= key[:-1]):
-            order = np.argsort(key, kind="stable")
+        if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
+            order = np.argsort(key := rows * n + cols, kind="stable")
             rows, cols, vals, key = rows[order], cols[order], vals[order], key[order]
             if (k := _first(key[1:] == key[:-1])) is not None:
                 raise ValueError(f"{pair_name} repeats pair ({rows[k]}, {cols[k]})")
@@ -324,9 +328,9 @@ class QuantizedQubo(_Terms):
         if not (scale := require_finite(scale, "scale")) > 0:
             raise ValueError(f"scale must be positive, got {scale!r}")
         self._store(n, int_diag, int_upper, np.int64, scale=scale, report=report)
-        values = np.concatenate([self.lin, self.vals])
-        if (k := _first((values < INT8_MIN) | (values > INT8_MAX))) is not None:
-            raise ValueError(f"quantized value {values[k]} outside [{INT8_MIN}, {INT8_MAX}]")
+        for values in (self.lin, self.vals):
+            if (k := _first((values < INT8_MIN) | (values > INT8_MAX))) is not None:
+                raise ValueError(f"quantized value {values[k]} outside [{INT8_MIN}, {INT8_MAX}]")
 
     def to_matrix(self) -> QuboMatrix:
         """The integer coefficients as a QuboMatrix with zero offset.
@@ -361,7 +365,7 @@ class QuboBuilder:
     def __init__(self, n: int):
         self.n = require_int(n, "n", 1)
         self._diag = np.zeros(n)
-        self._pairs = [_Pairs(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]  # build() needs one batch
+        self._pairs: list[_Pairs] = []
         self._offset = 0.0
 
     def add_offset(self, value: float) -> None:
@@ -396,19 +400,46 @@ class QuboBuilder:
         self._offset += weight * constant * constant
 
     def build(self) -> QuboMatrix:
-        n = self.n
-        rows, cols, vals = (np.concatenate(part) for part in zip(*self._pairs))
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
-        if (k := _first((lo < 0) | (hi >= n))) is not None:
-            raise ValueError(f"pair ({rows[k]}, {cols[k]}) is out of range for n={n}")
-        order = np.argsort(key := lo * n + hi, kind="stable")
-        key, vals = key[order], vals[order]
-        first = np.diff(key, prepend=-1) != 0  # keys are >= 0
+        """The accumulated terms as a QuboMatrix; the builder stays usable.
+
+        Each batch is range-checked, then keyed as ``min * n + max`` into
+        one int64 array, and its values are copied into one float64 array.
+        One stable sort of the keys lines up each pair's contributions in
+        insertion order, and they are summed in that order. Besides the
+        builder's batches, it holds at most four pair-sized arrays at once:
+        the keys, the values, the sort order and the sorted values. The
+        result's arrays are read-only, so the QuboMatrix holds them as they are.
+        """
+        n, size = self.n, sum(batch.rows.size for batch in self._pairs)
+        key, vals = np.empty(size, np.int64), np.empty(size)
+        stop = 0
+        for rows, cols, values in self._pairs:
+            start, stop = stop, stop + rows.size
+            lo = np.minimum(rows, cols, out=key[start:stop])
+            if (k := _first((lo < 0) | (rows >= n) | (cols >= n))) is not None:
+                raise ValueError(f"pair ({rows[k]}, {cols[k]}) is out of range for n={n}")
+            lo *= n - 1  # min * n + max, as min * (n - 1) + rows + cols: no array for max
+            lo += rows
+            lo += cols
+            vals[start:stop] = values
+        vals = vals[np.argsort(key, kind="stable")]
+        key.sort()  # in place; equal keys are alike, so this is the stable order too
+        first = np.empty(size, bool)  # the first of each key's contributions
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
         summed = vals[first]
-        np.add.at(summed, np.cumsum(first)[~first] - 1, vals[~first])  # repeats, in insertion order
-        keep = summed != 0.0
-        key = key[first][keep]
-        return QuboMatrix(n, self._diag, _Pairs(key // n, key % n, summed[keep]), self._offset)
+        # a repeat at sorted position p adds, in insertion order, to sum p - (repeats up to p)
+        repeats = np.flatnonzero(~first)
+        np.add.at(summed, repeats - np.arange(1, repeats.size + 1), vals[repeats])
+        del vals
+        keep = summed != 0.0  # pairs that cancel to zero are dropped
+        first[first] = keep
+        key = key[first]
+        summed = summed[keep]
+        cols = key % n
+        key //= n  # the rows
+        key.flags.writeable = cols.flags.writeable = summed.flags.writeable = False
+        return QuboMatrix(n, self._diag, _Pairs(key, cols, summed), self._offset)
 
 
 def batch_energy(model: QuboMatrix | IsingModel, states) -> np.ndarray:
@@ -473,6 +504,7 @@ def qubo_to_ising(q: QuboMatrix, convention: IsingConvention = IsingConvention.P
         offset = q.offset + float(q.lin.sum()) / 2.0 + float(quarter.sum())
     if convention is IsingConvention.NEGATED_SUM:
         h, quarter = -h, -quarter
+    quarter.flags.writeable = False  # so the model holds it without a copy
     return IsingModel(q.n, h, _Pairs(q.rows, q.cols, quarter), offset, convention)
 
 
@@ -491,9 +523,19 @@ def flip_convention(m: IsingModel) -> IsingModel:
 
 
 def _round_to_int8(values: np.ndarray) -> np.ndarray:
-    # half away from zero, so symmetric +/- coefficients quantize symmetrically
-    rounded = np.where(values >= 0, np.floor(values + 0.5), np.ceil(values - 0.5))
-    return np.clip(rounded, INT8_MIN, INT8_MAX).astype(np.int64)
+    """values rounded half away from zero, so symmetric +/- coefficients
+    quantize symmetrically, clamped to int8 and returned as int64.
+
+    values is overwritten. Rounding is sign-symmetric, so -floor(|x| + 0.5)
+    is bit for bit ceil(x - 0.5) for x < 0.
+    """
+    negative = values < 0
+    np.abs(values, out=values)
+    values += 0.5
+    np.floor(values, out=values)
+    np.negative(values, out=values, where=negative)
+    np.clip(values, INT8_MIN, INT8_MAX, out=values)
+    return values.astype(np.int64)
 
 
 def quantize_int8(q: QuboMatrix) -> QuantizedQubo:
@@ -503,6 +545,10 @@ def quantize_int8(q: QuboMatrix) -> QuantizedQubo:
     clamp(round_half_away_from_zero(c * scale), -128, 127). The offset is
     carried outside the integer matrix. Raises DegenerateMatrixError when
     every coefficient is zero (the scale is undefined).
+
+    Besides its int64 result, which the QuantizedQubo holds without a copy
+    and shares q's index arrays with, it holds one float64 copy of the
+    coefficients, scaled and rounded in place, and a nonzero mask.
     """
     stats = coefficient_stats(q)
     if stats.max_abs == 0.0:
@@ -511,8 +557,10 @@ def quantize_int8(q: QuboMatrix) -> QuantizedQubo:
     if not math.isfinite(scale):
         raise DegenerateMatrixError(f"coefficients are too small to quantize (largest magnitude {stats.max_abs!r})")
     values = np.concatenate([q.lin, q.vals])
-    ints = _round_to_int8(values * scale)
     nonzero = values != 0.0
+    values *= scale
+    ints = _round_to_int8(values)
+    ints.flags.writeable = False
     zeroed = int(np.count_nonzero(nonzero & (ints == 0))) / int(np.count_nonzero(nonzero))
     report = QuantizationReport(zeroed, stats.dynamic_range_orders, stats.max_abs)
     return QuantizedQubo(q.n, ints[: q.n], _Pairs(q.rows, q.cols, ints[q.n :]), scale, report)
@@ -524,11 +572,12 @@ def coefficient_stats(q: QuboMatrix, near_zero_threshold: float = 1e-4) -> Coeff
     ``near_zero_fraction`` counts coefficients with |c| <= threshold *
     max|c|, so it is a statement about the max-abs-normalized matrix.
     """
-    mags = np.abs(np.concatenate([q.lin, q.vals]))
+    mags = np.concatenate([q.lin, q.vals])
+    np.abs(mags, out=mags)
     max_abs = float(mags.max())
     if max_abs == 0.0:
         return CoefficientStats(0.0, 0.0, 0.0, 1.0, near_zero_threshold)
-    min_nonzero = float(mags[mags != 0.0].min())
+    min_nonzero = float(np.min(mags, initial=np.inf, where=mags != 0.0))
     near = int(np.count_nonzero(mags <= near_zero_threshold * max_abs))
     return CoefficientStats(max_abs, min_nonzero, math.log10(max_abs / min_nonzero), near / mags.size, near_zero_threshold)
 

@@ -510,12 +510,11 @@ def solve_quantized(q: QuboMatrix, config: SolverConfig | None = None) -> SolveR
     """
     config = config or SolverConfig()
     quantized = quantize_int8(q)
-    result = solve_annealed(quantized.to_matrix(), config)
-    meta = dict(result.meta)
-    meta["quantized"] = True
-    meta["scale"] = quantized.scale
-    meta["quant_report"] = quantized.report.to_doc()
-    meta["original_energies"] = _original_energies(q, result.solutions)
+    noted = {"quantized": True, "scale": quantized.scale, "quant_report": quantized.report.to_doc()}
+    model = qubo_to_ising(quantized.to_matrix())
+    del quantized  # only the Ising form of the int8 model stays alive through the anneal
+    result = solve_annealed(model, config)
+    meta = {**result.meta, **noted, "original_energies": _original_energies(q, result.solutions)}
     return SolveResult(result.solutions, meta, result.model, original_model=q)
 
 

@@ -545,15 +545,20 @@ class TestPairViews:
         assert QuboMatrix(3, [0.0] * 3, {(0, 1): 85.0, (1, 2): -42.0}).upper == quantize_int8(q).int_upper
 
 
-def large_model():
-    """About 233k pairs over 3,000 variables."""
+def large_builder():
+    """240k pair draws over 3,000 variables, which coalesce to about 233k pairs."""
     rng = np.random.default_rng(3000)
     n, draws = 3000, 240_000
     builder = QuboBuilder(n)
     builder.add_diag(np.arange(n), rng.uniform(-50.0, 50.0, n))
     i = rng.integers(0, n, draws)
     builder.add_pairs(i, (i + rng.integers(1, n, draws)) % n, rng.uniform(-10.0, 10.0, draws))
-    return builder.build()
+    return builder
+
+
+def large_model():
+    """About 233k pairs over 3,000 variables."""
+    return large_builder().build()
 
 
 def traced_peak(f):
@@ -613,6 +618,23 @@ class TestLargePairViews:
             QuboMatrix(q.n, [np.inf, *q.diag[1:]], q.upper)
 
 
+class TestAssemblyMemory:
+    """Assembly holds its output plus a few pair-sized arrays, where one
+    float64 array over the 240k draws is 1.83 MiB. The pins are MiB of
+    traced peak: 27.7 for build and 9.3 for quantize_int8 when each stage
+    held a dozen or so such temporaries."""
+
+    def test_build_peak(self):
+        builder = large_builder()
+        q, peak = traced_peak(builder.build)
+        assert q.vals.size > 200_000 and peak < 14 * 2**20
+
+    def test_quantize_peak(self):
+        q = large_model()
+        quantized, peak = traced_peak(lambda: quantize_int8(q))
+        assert quantized.vals.size == q.vals.size and peak < 7.5 * 2**20
+
+
 class TestBatchKernel:
     @given(qubo_matrices(max_n=10), st.integers(1, 12), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -663,7 +685,7 @@ class TestQuantizeReference:
         assert [quantized.int_upper[(0, j)] for j in range(1, len(ties) + 1)] == [round_half_away_int8(-t) for t in ties]
 
     def test_rounding_rule_clamps_like_reference(self):
-        values = [-1e9, -129.0, -128.5, -128.49, -127.5, -0.5, -0.49, 0.0, 0.49, 0.5, 2.5, 127.49, 127.5, 300.0]
+        values = [-1e9, -129.0, -128.5, -128.49, -127.5, -0.5, -0.49, 0.0, 0.49, 0.5, 2.5, 127.49, 127.5, 300.0, -0.0, 5e-324, -2.5]
         assert _round_to_int8(np.array(values)).tolist() == [round_half_away_int8(v) for v in values]
         assert round_half_away_int8(-128.5) == -128 and round_half_away_int8(127.5) == 127
 
@@ -698,6 +720,42 @@ class TestBuilderCoalescing:
         assert q.upper == {key: v for key, v in upper.items() if v != 0.0}
         assert cancelled not in q.upper
         assert q.diag == tuple(diag)
+
+
+class TestBuilderContract:
+    def test_out_of_range_pair_names_the_first_offender(self):
+        n = 5
+        builder = QuboBuilder(n)
+        builder.add_pairs([0, 1], [1, 2], 1.0)
+        builder.add_pairs([3, 0, 4], [2, n + 2, -1], 1.0)  # (0, 7) would key like (1, 2)
+        builder.add_pair(-1, 0, 1.0)
+        with pytest.raises(ValueError, match=r"pair \(0, 7\) is out of range for n=5"):
+            builder.build()
+        for rows, cols in (([6], [0]), ([2], [-3])):
+            single = QuboBuilder(n)
+            single.add_pairs(rows, cols, 1.0)
+            with pytest.raises(ValueError, match=rf"pair \({rows[0]}, {cols[0]}\) is out of range"):
+                single.build()
+
+    def test_build_twice_and_keep_accumulating(self):
+        builder = QuboBuilder(4)
+        builder.add_pairs([0, 2, 1], [1, 1, 0], [1.0, 2.0, 0.5])
+        builder.add_diag([3], 4.0)
+        builder.add_offset(1.5)
+        first = builder.build()
+        assert builder.build() == first
+        assert first.upper == {(0, 1): 1.5, (1, 2): 2.0} and first.offset == 1.5
+        assert first.rows.dtype == first.cols.dtype == np.intp and first.vals.dtype == np.float64
+        builder.add_pair(1, 0, -1.5)
+        builder.add_pair(3, 2, 0.25)
+        builder.add_diag([3], 1.0)
+        again = builder.build()
+        assert again.upper == {(1, 2): 2.0, (2, 3): 0.25} and again.diag == (0.0, 0.0, 0.0, 5.0)
+        assert first.upper == {(0, 1): 1.5, (1, 2): 2.0}  # an earlier model is not changed
+
+    def test_empty_builder(self):
+        q = QuboBuilder(3).build()
+        assert q.upper == {} and q.rows.dtype == q.cols.dtype == np.intp and q.vals.dtype == np.float64
 
 
 class TestLargeModel:
