@@ -353,13 +353,32 @@ class CoefficientStats:
     threshold: float
 
 
+def _indices(index, n: int | None = None) -> np.ndarray:
+    """``index``, an int or an array-like of ints, as an intp array.
+
+    A float or bool entry, or given ``n`` one outside [0, n), raises
+    ValueError naming it; an empty batch passes. Anything but an integer
+    array is checked entry by entry, since numpy reads ``[True, 2]`` as ints.
+    """
+    idx = np.asarray(index)
+    if idx.size and not (isinstance(index, np.ndarray) and idx.dtype.kind in "iu"):
+        for v in np.ravel(np.array(index, dtype=object)).tolist():
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"index {v!r} is not an integer")
+    if n is not None and (k := _first((idx < 0) | (idx >= n))) is not None:
+        raise ValueError(f"index {idx.flat[k]} is out of range for n={n}")
+    return idx.astype(np.intp, copy=False)
+
+
 class QuboBuilder:
     """Mutable accumulator for assembling a QuboMatrix.
 
     Terms are appended to arrays, singly or in batches, and coalesced once
     by ``build()``: contributions to one pair add up in the order they were
     made, as in a dict, and pairs that cancel to zero are dropped. ``n`` is
-    an int >= 1.
+    an int >= 1. Every index must be an int (ValueError for a float or a
+    bool); a variable index outside [0, n) raises when it is added, a pair
+    out of range when ``build()`` checks it.
     """
 
     def __init__(self, n: int):
@@ -373,14 +392,14 @@ class QuboBuilder:
 
     def add_diag(self, i, value) -> None:
         """Add value to the coefficient of x_i; i and value may be arrays."""
-        np.add.at(self._diag, i, value)
+        np.add.at(self._diag, _indices(i, self.n), value)
 
     def add_pair(self, i: int, j: int, value: float) -> None:
         self.add_pairs([i], [j], value)
 
     def add_pairs(self, rows, cols, values) -> None:
         """Add values[k] (or one value for all k) to the x_rows[k] * x_cols[k] coefficient."""
-        rows, cols = np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
+        rows, cols = _indices(rows), _indices(cols)
         if (k := _first(rows == cols)) is not None:
             raise ValueError(f"pair ({rows[k]}, {cols[k]}) is not off-diagonal")
         self._pairs.append(_Pairs(rows, cols, np.broadcast_to(np.asarray(values, dtype=np.float64), rows.shape)))
@@ -391,7 +410,7 @@ class QuboBuilder:
         The expansion folds x_i^2 = x_i onto the diagonal and absorbs
         weight * constant^2 into the offset.
         """
-        idx = np.fromiter(coeffs.keys(), dtype=np.intp, count=len(coeffs))
+        idx = _indices(list(coeffs), self.n)
         c = np.fromiter(coeffs.values(), dtype=np.float64, count=len(coeffs))
         idx, c = idx[c != 0.0], c[c != 0.0]
         self.add_diag(idx, weight * c * (c + 2.0 * constant))

@@ -1,9 +1,10 @@
-"""Rewrite the golden corpus from the current code.
+"""Rewrite the golden corpus, or the named cases of it, from the current code.
 
-Run only for a declared change to fixed-seed outputs, and list the
-regenerated files and the reason in CHANGES.md:
+Run only for a declared change to fixed-seed outputs, or to record a new
+case, and list the regenerated files and the reason in CHANGES.md:
 
-    PYTHONPATH=src python tests/golden/regenerate.py
+    PYTHONPATH=src python tests/golden/regenerate.py            # every case
+    PYTHONPATH=src python tests/golden/regenerate.py NAME ...   # these cases only
 """
 
 import shutil
@@ -16,8 +17,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from test_golden import GOLDEN, PRINTS, RUNS, run_case  # noqa: E402
 
 
-def main() -> None:
-    for name in [*RUNS, *PRINTS]:
+def main(names: list[str]) -> None:
+    cases = [*RUNS, *PRINTS]
+    if unknown := [name for name in names if name not in cases]:
+        sys.exit(f"unknown case(s): {', '.join(unknown)}; cases are {', '.join(cases)}")
+    for name in names or cases:
         with tempfile.TemporaryDirectory() as tmp:
             files = run_case(name, Path(tmp) / "out")
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
@@ -28,4 +32,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

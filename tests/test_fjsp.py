@@ -85,6 +85,13 @@ class TestPruning:
         assert len(per_machine[1]) == 10
         assert len(per_machine[2]) == 9
 
+    def test_position_is_each_entrys_place(self, table1, table1_index):
+        assert [table1_index.position(e) for e in table1_index.entries] == list(range(264))
+        absent = TimedVariable(0, 0, 0, table1.t_max + 1)
+        assert table1_index.get(absent) is None
+        with pytest.raises(KeyError):
+            table1_index.position(absent)
+
     def test_single_variable_instance(self):
         inst = FjspInstance.build(1, 2, [[[2]]])
         index = prune_variables(inst)
@@ -395,6 +402,12 @@ class TestDecode:
         machine, op_a, op_b, overlap = diag.machine_conflicts[0]
         assert machine == 0 and overlap == (0, 2)
         assert diag.makespan is None
+
+    def test_makespan_is_the_latest_end(self, benchmark_schedule):
+        assert benchmark_schedule.makespan() == 11
+        entries = (ScheduleEntry(0, 0, 0, 0, 3), ScheduleEntry(1, 0, 1, 0, 7), ScheduleEntry(0, 1, 1, 7, 9))
+        assert Schedule(entries).makespan() == 9
+        assert Schedule(entries[:2]).makespan() == 7  # the latest end, not the last entry's
 
     def test_all_zero_bits(self, table1, table1_index):
         _, diag = decode_schedule(table1, table1_index, [0] * len(table1_index))

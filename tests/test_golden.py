@@ -18,6 +18,9 @@ from cimopt.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MODEL = GOLDEN / "model.json"  # the model CI's smoke test converts
+# fjsp-scale's instance for bench seed 530, task 0, second ladder point:
+# bench/gen.ladder_instance(default_rng([530, 0]), 10, 6, ...) after the 8x5 point
+LADDER = GOLDEN / "ladder-530-0-10x6.json"
 
 # name -> CLI arguments; run cases write --deterministic-output directories
 RUNS = {
@@ -36,6 +39,11 @@ RUNS = {
     "peptide-count-i1-s100-seed2": ["peptide", "--encoding", "count", "-i", "1", "--sweeps", "100", "--seed", "2"],
     "fjsp-i2-s200-seed4-flip005": [
         "fjsp", "-i", "2", "--sweeps", "200", "--seed", "4", "--readout-flip-prob", "0.05",
+    ],
+    # the bench-scale int8 path: n = 2,726 in 171 blocks a sweep, couplings
+    # widened in 11 chunks of rows; exits 2 with no feasible incumbent
+    "fjsp-ladder530-quantize-i1-s50-seed9": [
+        "fjsp", "--instance", str(LADDER), "--quantize", "-i", "1", "--sweeps", "50", "--seed", "9",
     ],
 }
 # name -> CLI arguments whose stdout is the output

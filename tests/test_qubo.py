@@ -1,6 +1,7 @@
 """Core model types: energies, penalties, conversion, quantization."""
 
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -403,6 +404,17 @@ class TestBuilder:
 
 
 class TestArrayCore:
+    def test_reprs_name_size_and_scalars(self):
+        q = QuboMatrix(3, [1.0, 2.0, 3.0], {(0, 1): 1.0, (1, 2): -2.0}, 0.5)
+        assert repr(q) == "QuboMatrix(n=3, pairs=2, offset=0.5)"
+        assert repr(q.upper) == "<pairs of QuboMatrix(n=3, pairs=2, offset=0.5)>"
+        m = qubo_to_ising(q, IsingConvention.NEGATED_SUM)
+        text = f"IsingModel(n=3, pairs=2, offset={m.offset!r}, convention={IsingConvention.NEGATED_SUM!r})"
+        assert repr(m) == text and repr(m.J) == f"<pairs of {text}>"
+        quantized = quantize_int8(q)
+        text = f"QuantizedQubo(n=3, pairs=2, scale={quantized.scale!r}, report={quantized.report!r})"
+        assert repr(quantized) == text and repr(quantized.int_upper) == f"<pairs of {text}>"
+
     def test_views_are_read_only_and_compare_equal_to_dicts(self):
         q = QuboMatrix(3, [1.0, 2.0, 3.0], {(1, 2): 5.0, (0, 1): -1.0}, 0.5)
         assert q.upper == {(0, 1): -1.0, (1, 2): 5.0} and q.diag == (1.0, 2.0, 3.0)
@@ -756,6 +768,41 @@ class TestBuilderContract:
     def test_empty_builder(self):
         q = QuboBuilder(3).build()
         assert q.upper == {} and q.rows.dtype == q.cols.dtype == np.intp and q.vals.dtype == np.float64
+
+    @pytest.mark.parametrize(
+        "add, message",
+        [
+            pytest.param(lambda b: b.add_diag(-1, 5.0), "index -1 is out of range for n=3", id="diag-negative"),
+            pytest.param(lambda b: b.add_diag(3, 5.0), "index 3 is out of range for n=3", id="diag-past-n"),
+            pytest.param(lambda b: b.add_diag([0, 2, 7], 5.0), "index 7 is out of range", id="diag-batch"),
+            pytest.param(lambda b: b.add_diag(1.0, 5.0), "index 1.0 is not an integer", id="diag-float"),
+            pytest.param(lambda b: b.add_diag(True, 5.0), "index True is not an integer", id="diag-bool"),
+            pytest.param(
+                lambda b: b.add_squared({0.5: 1.0, 2: 1.0}, 0.0, 1.0), "index 0.5 is not an integer", id="squared-float"
+            ),
+            pytest.param(
+                lambda b: b.add_squared({2: 1.0, 4: 0.0}, 0.0, 1.0), "index 4 is out of range", id="squared-range"
+            ),
+            pytest.param(lambda b: b.add_pairs([0.7], [1.2], 1.0), "index 0.7 is not an integer", id="pairs-float"),
+            pytest.param(lambda b: b.add_pairs([0, 1], [2, 1.5], 1.0), "index 1.5 is not an integer", id="pairs-mixed"),
+            pytest.param(lambda b: b.add_pair(False, 2, 1.0), "index False is not an integer", id="pair-bool"),
+            # numpy reads [True, 2] as the ints [1, 2]
+            pytest.param(lambda b: b.add_pairs([True, 2], [2, 0], 1.0), "index True is not an integer", id="pairs-bool-int"),
+        ],
+    )
+    def test_bad_index_is_rejected_by_name(self, add, message):
+        builder = QuboBuilder(3)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            add(builder)
+        assert builder.build() == QuboMatrix(3, [0.0] * 3, {})  # nothing was added
+
+    def test_empty_batches_are_allowed(self):
+        builder = QuboBuilder(3)
+        builder.add_diag([], 1.0)
+        builder.add_pairs([], [], 1.0)
+        builder.add_pairs(np.array([]), np.array([]), 1.0)  # float64, as np.array([]) is
+        builder.add_squared({}, 2.0, 1.0)
+        assert builder.build() == QuboMatrix(3, [0.0] * 3, {}, 4.0)
 
 
 class TestLargeModel:

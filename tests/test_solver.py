@@ -462,11 +462,12 @@ class TestAnnealStateDtype:
             # the pool's largest energy
             (47, {"restarts": 40, "top_k": 1}),
             (40, {"temp_initial": 1e-6, "temp_final": 1e-9}),  # exp overflows on downhill flips
-            # 8 restarts of 47 spins draw uniforms for 2**17 // 376 = 348 sweeps at a time
-            (47, {"sweeps": 347}),  # fewer sweeps than one chunk
-            (47, {"sweeps": 348}),  # exactly one chunk
-            (47, {"sweeps": 448}),  # a chunk and a remainder of 100 sweeps
-            (200, {"restarts": 656, "sweeps": 3}),  # 656 * 200 > 2**17: one sweep per chunk
+            # each sweep draws its own uniforms; these lengths sit at the edges
+            # of an earlier bulk draw of 2**17 // (8 * 47) = 348 sweeps at a time
+            (47, {"sweeps": 347}),  # one sweep short of a bulk draw
+            (47, {"sweeps": 348}),  # exactly one bulk draw
+            (47, {"sweeps": 448}),  # a bulk draw and 100 sweeps more
+            (200, {"restarts": 656, "sweeps": 3}),  # 656 * 200 > 2**17 uniforms a sweep
             (47, {"sweeps": 1}),  # a one-sweep schedule is t0 alone
             (33, {"sweeps": 2}),  # the shortest schedule that reaches t1
         ],
@@ -486,7 +487,7 @@ class TestAnnealStateDtype:
 
     def test_draw_buffer_is_bounded(self):
         # 2,000 sweeps of 8 x 100 uniforms would be 12.8 MB drawn at once;
-        # chunks hold at most 2**17 doubles (1 MiB)
+        # each sweep draws only its own 6.4 KB
         q = random_model(np.random.default_rng(100), 100, density=0.4)
         work = solver._as_positive_ising(q)
         h, jmat = solver._dense_fields(work)
@@ -554,6 +555,32 @@ class TestAnnealStateDtype:
             tracemalloc.stop()
         assert peak < 0.5 * 4 * n * n
 
+    @pytest.mark.parametrize("quantized", [False, True], ids=["float64", "int8"])
+    def test_setup_makes_no_pair_sized_temporaries_beside_the_matrix(self, quantized):
+        # n = 1,500 and about 76k pairs, sparse like the FJSP models: copies
+        # of all coefficients (8 bytes each) would show beside the matrix, h
+        # and the int8 couplings
+        n = 1500
+        rng = np.random.default_rng(n)
+        builder = QuboBuilder(n)
+        builder.add_diag(np.arange(n), rng.uniform(-50.0, 50.0, n))
+        i = rng.integers(0, n, 80_000)
+        builder.add_pairs(i, (i + rng.integers(1, n, i.size)) % n, rng.uniform(-10.0, 10.0, i.size))
+        q = builder.build()
+        work = solver._as_positive_ising(quantize_int8(q).to_matrix() if quantized else q)
+        tracemalloc.start()
+        try:
+            h, jmat = solver._dense_fields(work)
+            fields_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            solver._resolve_temps(SolverConfig(), work)
+            temps_peak = tracemalloc.get_traced_memory()[1] - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert jmat.dtype == (np.int8 if quantized else np.float64)
+        assert fields_peak < jmat.nbytes + h.nbytes + work.vals.size + 2**14
+        assert temps_peak < 2**14
+
     def test_one_off_grid_coefficient_takes_float64(self):
         assert state_dtype(IsingModel(3, (1.0, 0.25, -0.5), {(0, 1): 2.0, (1, 2): 0.75})) == np.float32
         assert state_dtype(IsingModel(3, (1.0, 0.25, -0.5), {(0, 1): 2.0, (1, 2): 0.1})) == np.float64
@@ -616,6 +643,27 @@ class TestSweepStream:
             assert s1.dtype == np.float32 and e1.dtype == np.float64
             assert np.array_equal(s1, s10) and np.array_equal(e1, e10)
             assert np.array_equal(e1 + work.offset, batch_energy(work, s1))
+
+    def test_single_spin_kernel_samples_boltzmann(self):
+        # At a fixed T a single-spin Metropolis chain's stationary law is
+        # exp(-E / T) / Z. Over seeds 0-7 this run's total-variation distance
+        # to it reads 0.006-0.013, and 0.074-0.083 with 1.6 / T in place of 2 / T.
+        rng = np.random.default_rng(0)
+        n, temp, burn_in = 5, 1.0, 200
+        model = IsingModel(n, rng.uniform(-1.0, 1.0, n).tolist(), {
+            (i, j): float(rng.uniform(-1.0, 1.0)) for i in range(n) for j in range(i + 1, n)
+        })
+        h, jmat = solver._dense_fields(model)
+        config = SolverConfig(sweeps=burn_in + 3000, restarts=8, temp_initial=temp, temp_final=temp, seed=1)
+        place = 2 ** np.arange(n - 1, -1, -1)  # state index, spin 0 most significant, -1 first
+        counts = np.zeros(2**n, np.int64)
+        for sweep, (spins, _) in enumerate(solver._sweeps(h, jmat, config, temp, temp)):
+            if sweep >= burn_in:
+                counts += np.bincount((spins > 0) @ place, minlength=2**n)
+        states = ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1) * 2 - 1
+        boltzmann = np.exp(-batch_energy(model, states) / temp)
+        boltzmann /= boltzmann.sum()
+        assert 0.5 * np.abs(counts / counts.sum() - boltzmann).sum() < 0.03
 
 
 def generated_fjsp():
