@@ -9,6 +9,7 @@ identical result.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Union
@@ -237,29 +238,35 @@ _WIDEN_ROWS = 256  # int8 coupling rows widened to the state dtype at a time
 
 
 def _fields(spins: np.ndarray, jmat: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """spins @ J + h, in the state dtype.
+    """spins @ jmat + h in the state dtype, with ``h`` in ``jmat``'s units.
 
-    An int8 ``jmat`` holds 4J. It is widened ``_WIDEN_ROWS`` rows at a time,
-    since a single ``spins @ jmat`` would widen a copy of all n x n
-    couplings. int8 couplings occur only in the exact regime, where every
-    partial sum is exact, so the chunking does not change the result.
-    Other dtypes keep ``spins @ jmat + h`` and its summation order.
+    An int8 ``jmat`` is widened ``_WIDEN_ROWS`` rows at a time, since a
+    single ``spins @ jmat`` would widen a copy of all n x n couplings; it
+    occurs only in the exact regime, so the chunking does not change the
+    result. Other dtypes take one product.
     """
-    if jmat.dtype != np.int8:
-        return spins @ jmat + h
-    fields = spins[:, :_WIDEN_ROWS] @ jmat[:_WIDEN_ROWS]
-    for start in range(_WIDEN_ROWS, h.size, _WIDEN_ROWS):
-        fields += spins[:, start : start + _WIDEN_ROWS] @ jmat[start : start + _WIDEN_ROWS]
-    fields *= 0.25
+    rows = _WIDEN_ROWS if jmat.dtype == np.int8 else h.size
+    fields = spins[:, :rows] @ jmat[:rows]
+    for start in range(rows, h.size, rows):
+        fields += spins[:, start : start + rows] @ jmat[start : start + rows]
     fields += h
     return fields
 
 
 def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float]:
+    """The schedule's end temperatures, given or scaled to ``work``;
+    ValueError unless t0 and 2 / t1 are finite and t1 / t0 > 0."""
     if config.temp_initial is not None:
-        return float(config.temp_initial), float(config.temp_final)
-    scale = float(max(_max_abs(work.lin), _max_abs(work.vals))) or 1.0
-    return 10.0 * scale, 1e-3 * scale
+        t0, t1 = float(config.temp_initial), float(config.temp_final)
+    else:
+        scale = float(max(_max_abs(work.lin), _max_abs(work.vals))) or 1.0
+        t0, t1 = 10.0 * scale, 1e-3 * scale
+    if not (math.isfinite(t0) and t1 / t0 > 0 and math.isfinite(2.0 / t1)):
+        raise ValueError(
+            f"temp_initial={t0!r} and temp_final={t1!r} leave float range: need a finite"
+            " temp_initial, temp_final / temp_initial > 0 and a finite 2 / temp_final"
+        )
+    return t0, t1
 
 
 def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float):
@@ -274,8 +281,13 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     semantics hold exactly when blocks are singletons, which is forced for
     small models). Spins and fields take the dtype of ``h``, which
     ``_dense_fields`` makes float32 only where that is exact; the
-    acceptance test and the energies are float64 either way. ``jmat`` has
-    that dtype too, or is int8 holding 4J (see ``_dense_fields``).
+    acceptance test and the energies are float64 either way.
+
+    Fields are held in ``jmat``'s units, 4J for int8 (see ``_dense_fields``):
+    ``h`` is scaled by ``unit`` once, and the acceptance product and the
+    energies divide by it. Scaling by 4 is exact, and so is (2/T)/4 unless
+    2/T is subnormal, where exp gives 1.0 either way, so every decision and
+    energy is bit for bit what fields in J give.
 
     Every buffer and block view the sweep uses is made once per solve;
     only the field resync every 256 sweeps allocates, and, with int8
@@ -287,10 +299,8 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
 
     Each sweep gathers the spins once in visiting order (``visit``) and
     derives two buffers from it: the flip deltas -2 * visit, and
-    visit * 2beta in float64. With int8 couplings the deltas are
-    -0.5 * visit, so that delta @ 4J multiplies exactly the values that
-    (-2 * visit) @ J would, and every field is bit for bit the same.
-    As s = +-1, (s * 2beta) * f is bit for bit (s * f) * 2beta, so a block needs one product for -dE * beta. The test
+    visit * 2beta in float64. As s = +-1, (s * 2beta) * f is bit for bit
+    (s * f) * 2beta, so a block needs one product for -dE * beta. The test
     u < exp(-dE * beta) needs no clamp of the exponent at 0: a positive one
     gives exp >= 1 > u, as the clamp would, and one past exp's range gives
     inf, so overflow warnings are silenced. Each block writes its deltas
@@ -304,8 +314,7 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     energy plus the offset equals its re-evaluation, in sign too unless
     the offset is -0.0.
     Every spin is visited once per sweep, so no block reads a spin that an
-    earlier block of the sweep flipped: after the last block (and
-    ``delta *= 4`` with int8 couplings, which keeps the signs of zeros),
+    earlier block of the sweep flipped: after the last block,
     ``visit += delta`` applies the flips (s - 2s = -s and
     s + 0 = s, both exact) and one gather through the inverse of the
     visiting order writes them back to ``spins``.
@@ -318,9 +327,9 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     spins = np.empty((restarts, n), h.dtype)
     for r, rng in enumerate(rngs):
         spins[r] = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
+    unit = 4.0 if jmat.dtype == np.int8 else 1.0  # int8 couplings hold 4J
+    h = h * unit
     fields = _fields(spins, jmat, h)
-    holds_4j = jmat.dtype == np.int8
-    step = -0.5 if holds_4j else -2.0  # flip delta per unit spin
 
     sweeps = config.sweeps
     temps = t0 * (t1 / t0) ** (np.arange(sweeps) / max(sweeps - 1, 1))
@@ -331,7 +340,7 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     order, inverse = np.empty(n, np.intp), np.empty(n, np.intp)
     uniforms = np.empty((restarts, n))
     visit = np.empty_like(spins)
-    flips = np.empty_like(spins)  # flip deltas, step * visit
+    flips = np.empty_like(spins)  # flip deltas, -2 * visit
     delta = np.empty_like(spins)  # flip deltas of accepted flips, +-0 elsewhere
     visit2b = np.empty((restarts, n))  # visit * 2 beta
     dfields = np.empty_like(spins)
@@ -354,8 +363,8 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
         order[:] = natural
         schedule_rng.shuffle(order)
         spins.take(order, 1, visit, "clip")
-        np.multiply(visit, step, out=flips)
-        np.multiply(visit, 2.0 / temps[sweep], out=visit2b, dtype=np.float64)
+        np.multiply(visit, -2.0, out=flips)
+        np.multiply(visit, 2.0 / temps[sweep] / unit, out=visit2b, dtype=np.float64)
         with np.errstate(over="ignore"):
             for block, f_blk, v2b, p, u, accept, fl, d_blk, j_blk in blocks:
                 fields.take(block, 1, f_blk, "clip")
@@ -366,8 +375,6 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
                 if np.count_nonzero(accept):
                     jmat.take(block, 0, j_blk, "clip")
                     fields += np.matmul(d_blk, j_blk, out=dfields)
-        if holds_4j:
-            delta *= 4.0
         visit += delta
         inverse[order] = natural
         visit.take(inverse, 1, spins, "clip")
@@ -376,7 +383,7 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
         np.add(fields, h, out=local)
         np.multiply(spins, local, out=local)
         np.add.reduce(local, axis=1, dtype=np.float64, out=energies)
-        energies *= 0.5
+        energies *= 0.5 / unit
         yield spins, energies  # outside errstate, which NumPy 1.x keeps per thread
 
 
@@ -423,9 +430,7 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     across all chains are pooled and ranked by (energy, vector). A float32
     anneal (see ``_dense_fields``) is exact, so its pooled energies plus
     the offset are already what ``batch_energy`` gives and are ranked as
-    they are. An int8-quantized model's couplings are held as int8, n**2
-    bytes instead of float32's 4 n**2, with the same results. A float64
-    anneal's pooled energies carry the drift of the
+    they are. A float64 anneal's pooled energies carry the drift of the
     incremental field updates (up to about 1.5e-7 on LACRP4), so its
     states are re-evaluated by ``batch_energy`` first. Seeds therefore
     share chain streams: with the default 8 restarts, seeds 0-7 all run
@@ -437,8 +442,8 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     """
     config = config or SolverConfig()
     work = _as_positive_ising(model)
-    h, jmat = _dense_fields(work)
     t0, t1 = _resolve_temps(config, work)
+    h, jmat = _dense_fields(work)
     if config.emulate_latency_ms:
         time.sleep(config.emulate_latency_ms / 1000.0)
     pool = _anneal_pool(h, jmat, config, t0, t1)

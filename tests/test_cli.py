@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from cimopt.cli import _solver_config, build_parser, main
+from cimopt.cli import _solver_config, build_parser, entry_point, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
 PY = sys.executable
@@ -405,3 +405,22 @@ class TestOracleCommand:
         assert rc == 1
         captured = capsys.readouterr()
         assert f"node budget must be >= 1, got {budget}" in captured.err and captured.out == ""
+
+
+class TestEntryPoint:
+    """``entry_point`` is the installed ``cimopt`` script: argv in, exit code out."""
+
+    def test_exits_with_the_command_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["cimopt", "oracle"])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.strip() == "9"
+
+    def test_input_error_exits_1(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(sys, "argv", ["cimopt", "fjsp", "--seed", "-1", "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as exc:
+            entry_point()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "non-negative 64-bit integer" in err and "Traceback" not in err

@@ -344,6 +344,17 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="temp_initial is out of range"):
             SolverConfig(temp_initial=10**400, temp_final=0.5)
 
+    @pytest.mark.parametrize("model, temps", [
+        (TWO_VAR, {"temp_initial": 1.0, "temp_final": 1e-310}),  # 2 / temp_final overflowed to inf
+        (TWO_VAR, {"temp_initial": 1e308, "temp_final": 1e-20}),  # the ratio underflowed to 0
+        (QuboMatrix(2, (0.0, 0.0), {(0, 1): 1e308}), {}),  # the default temp_initial was inf
+    ])
+    def test_temperatures_that_leave_float_range_rejected(self, monkeypatch, model, temps):
+        # each annealed on an infinite or zero beta after a RuntimeWarning
+        monkeypatch.setattr(solver, "_dense_fields", lambda work: pytest.fail("made the matrix"))
+        with pytest.raises(ValueError, match=r"temp_initial=.* and temp_final=.* leave float range"):
+            solve_annealed(model, SolverConfig(sweeps=3, **temps))
+
     def test_int_and_float_settings_accepted(self):
         config = SolverConfig(sweeps=5, restarts=1, temp_initial=2, temp_final=0.5, readout_flip_prob=0)
         assert solve_annealed(TWO_VAR, config).meta["temp_initial"] == 2.0
@@ -470,6 +481,9 @@ class TestAnnealStateDtype:
             (200, {"restarts": 656, "sweeps": 3}),  # 656 * 200 > 2**17 uniforms a sweep
             (47, {"sweeps": 1}),  # a one-sweep schedule is t0 alone
             (33, {"sweeps": 2}),  # the shortest schedule that reaches t1
+            # the int8 leg widens its couplings in two chunks of _WIDEN_ROWS,
+            # and 300 sweeps cross the resync after sweep 256
+            (300, {}),
         ],
     )
     def test_pool_matches_float64_reference(self, n, settings, quantized):
