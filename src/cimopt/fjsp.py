@@ -228,9 +228,10 @@ def prune_variables(inst: FjspInstance) -> VariableIndex:
     return VariableIndex(tuple(entries), raw)
 
 
-def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, np.ndarray]:
+def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, ...]:
     """Reject an index that prune_variables could not have built for inst;
-    return each entry's start and end time."""
+    return each entry's job, operation (numbered over all jobs' operations
+    in order), machine, start and end time."""
     ops = list(inst.iter_operations())
     raw = sum(len(op.eligible()) for _, _, op in ops) * (inst.t_max + 1)
     if index.raw_count != raw:
@@ -264,7 +265,14 @@ def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, 
         if not p[k]:
             raise DimensionError(f"index entry {entry} uses an ineligible machine")
         raise DimensionError(f"index entry {entry} lies outside its pruning window")
-    return start, start + p
+    return job, op_id, machine, start, start + p
+
+
+def _window_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each position i paired with every k in [lo[i], hi[i]): the i's and the k's."""
+    counts = hi - lo
+    first = np.repeat(np.arange(lo.size), counts)
+    return first, np.arange(first.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
 
 
 def _h3_pairs(
@@ -289,9 +297,7 @@ def _h3_pairs(
         lo, hi = np.arange(1, key.size + 1), np.searchsorted(key, base + e)
     else:  # starts are >= 0, so clamping at 0 keeps the bound on the machine
         lo, hi = np.searchsorted(key, base + np.maximum(s - (e - s), 0)), np.arange(key.size)
-    counts = hi - lo
-    first = np.repeat(np.arange(key.size), counts)
-    second = np.arange(first.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    first, second = _window_pairs(lo, hi)
     a, b = order[first], order[second]
     hit = job_of[a] != job_of[b]
     n = start.size
@@ -322,40 +328,51 @@ def build_qubo(
     """
     if h3_mode not in ("strict", "paper-literal"):
         raise ValueError(f"unknown h3_mode {h3_mode!r}")
-    start, end = _check_index(inst, index)
-    builder = QuboBuilder(len(index))
+    job_of, op_of, machine_of, start, end = _check_index(inst, index)
+    n = len(index)
+    builder = QuboBuilder(n)
 
-    # H1: each operation picks exactly one (machine, start)
+    # H1: each operation picks exactly one (machine, start); alpha (sum x - 1)^2
+    # over its variables is -alpha on each, 2 alpha on each pair of them and
+    # alpha per operation. Pairs are windows of the variables in operation order.
     if weights.alpha > 0:
-        for j, h, _ in inst.iter_operations():
-            group = index.group(j, h)
-            builder.add_squared({k: 1.0 for k in group}, -1.0, weights.alpha)
+        builder.add_diag(np.arange(n), -weights.alpha)
+        order = np.argsort(op_of, kind="stable")
+        a, b = _window_pairs(np.arange(1, n + 1), np.searchsorted(op_of[order], op_of[order], "right"))
+        builder.add_pairs(order[a], order[b], 2.0 * weights.alpha)
+        for _ in range(inst.total_operations()):
+            builder.add_offset(weights.alpha)
 
-    # H2: successor must not start before its predecessor completes
+    # H2: successor must not start before its predecessor completes. In order
+    # of (operation, start), each variable's successors that start before its
+    # end form one window of the next operation, if that is of the same job.
     if weights.beta > 0:
-        for j, job in enumerate(inst.jobs):
-            for h in range(len(job.operations) - 1):
-                pred, succ = np.array(index.group(j, h)), np.array(index.group(j, h + 1))
-                p, s = np.nonzero(start[succ][None, :] < end[pred][:, None])
-                builder.add_pairs(pred[p], succ[s], weights.beta)
+        final = np.zeros(inst.total_operations(), bool)  # each job's last operation
+        final[np.cumsum([len(job.operations) for job in inst.jobs]) - 1] = True
+        span = int(end.max()) + 1
+        order = np.argsort(op_of * span + start, kind="stable")
+        key, nxt = op_of[order] * span + start[order], (op_of[order] + 1) * span
+        lo = np.searchsorted(key, nxt)
+        a, b = _window_pairs(lo, np.where(final[op_of[order]], lo, np.searchsorted(key, nxt + end[order])))
+        builder.add_pairs(order[a], order[b], weights.beta)
 
     # H3: cross-job temporal conflicts on a shared machine, paired only
     # within each variable's window of start times (_h3_pairs): strict,
     # the later starts before its end; paper-literal, the earlier starts
     # at most its own duration before its start
     if weights.gamma > 0:
-        job_of = np.array([e.job for e in index.entries])
-        machine_of = np.array([e.machine for e in index.entries])
         a, b = _h3_pairs(start, end, job_of, machine_of, h3_mode == "strict")
         builder.add_pairs(a, b, weights.gamma if h3_mode == "strict" else 2.0 * weights.gamma)
 
     # H4: completion of each job's last operation, shifted by its earliest
-    # possible predecessor time so the minimum contribution stays small
+    # possible predecessor time so the minimum contribution stays small; a
+    # term past float range is refused by build() as not finite
     if weights.delta > 0:
         for j, job in enumerate(inst.jobs):
             last = len(job.operations) - 1
             group = np.array(index.group(j, last))
-            builder.add_diag(group, weights.delta * (end[group] - min_predecessor_time(inst, j, last)))
+            with np.errstate(over="ignore"):
+                builder.add_diag(group, weights.delta * (end[group] - min_predecessor_time(inst, j, last)))
 
     return builder.build()
 

@@ -375,7 +375,9 @@ class QuboBuilder:
 
     Terms are appended to arrays, singly or in batches, and coalesced once
     by ``build()``: contributions to one pair add up in the order they were
-    made, as in a dict, and pairs that cancel to zero are dropped. ``n`` is
+    made, as in a dict, and pairs that cancel to zero are dropped. Terms
+    that overflow float range raise no warning; ``build()`` refuses the
+    infinite or NaN coefficients they leave (ValueError). ``n`` is
     an int >= 1. Every index must be an int (ValueError for a float or a
     bool); a variable index outside [0, n) raises when it is added, a pair
     out of range when ``build()`` checks it.
@@ -392,7 +394,8 @@ class QuboBuilder:
 
     def add_diag(self, i, value) -> None:
         """Add value to the coefficient of x_i; i and value may be arrays."""
-        np.add.at(self._diag, _indices(i, self.n), value)
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.add.at(self._diag, _indices(i, self.n), value)
 
     def add_pair(self, i: int, j: int, value: float) -> None:
         self.add_pairs([i], [j], value)
@@ -413,9 +416,10 @@ class QuboBuilder:
         idx = _indices(list(coeffs), self.n)
         c = np.fromiter(coeffs.values(), dtype=np.float64, count=len(coeffs))
         idx, c = idx[c != 0.0], c[c != 0.0]
-        self.add_diag(idx, weight * c * (c + 2.0 * constant))
         a, b = np.triu_indices(idx.size, 1)
-        self.add_pairs(idx[a], idx[b], 2.0 * weight * c[a] * c[b])
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.add_diag(idx, weight * c * (c + 2.0 * constant))
+            self.add_pairs(idx[a], idx[b], 2.0 * weight * c[a] * c[b])
         self._offset += weight * constant * constant
 
     def build(self) -> QuboMatrix:
@@ -449,7 +453,8 @@ class QuboBuilder:
         summed = vals[first]
         # a repeat at sorted position p adds, in insertion order, to sum p - (repeats up to p)
         repeats = np.flatnonzero(~first)
-        np.add.at(summed, repeats - np.arange(1, repeats.size + 1), vals[repeats])
+        with np.errstate(over="ignore", invalid="ignore"):  # QuboMatrix refuses what is not finite
+            np.add.at(summed, repeats - np.arange(1, repeats.size + 1), vals[repeats])
         del vals
         keep = summed != 0.0  # pairs that cancel to zero are dropped
         first[first] = keep

@@ -169,6 +169,7 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
         raise BudgetExceededError(
             f"exact enumeration is limited to {MAX_EXACT_VARIABLES} variables, got {work.n}"
         )
+    _require_energy_range(work)
     n, na, size_b = work.n, (work.n + 1) // 2, 2 ** (work.n // 2)
     upper = np.zeros((n, n))
     upper[work.rows, work.cols] = work.vals
@@ -204,7 +205,7 @@ def solve_exact(model: Model, top_k: int = MAX_SOLUTIONS) -> SolveResult:
 
 def _max_abs(x: np.ndarray) -> float:
     """max |x|, 0 for an empty x, without an array of |x|."""
-    return max(x.max(initial=0.0), -x.min(initial=0.0))
+    return float(max(x.max(initial=0.0), -x.min(initial=0.0)))
 
 
 def _dense_fields(work: IsingModel) -> tuple[np.ndarray, np.ndarray]:
@@ -234,21 +235,32 @@ def _dense_fields(work: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     return work.lin.astype(dtype), jmat
 
 
-_WIDEN_ROWS = 256  # int8 coupling rows widened to the state dtype at a time
+# int8 coupling rows widened to the state dtype at a time. 32 rows of
+# float32 stay in cache: at n = 2,726 (2-vCPU Xeon) the initial fields took
+# 2.3 ms, against 4.6 ms in chunks of 256 rows.
+_WIDEN_ROWS = 32
 
 
-def _fields(spins: np.ndarray, jmat: np.ndarray, h: np.ndarray) -> np.ndarray:
+def _fields(spins: np.ndarray, jmat: np.ndarray, h: np.ndarray, wide: np.ndarray | None) -> np.ndarray:
     """spins @ jmat + h in the state dtype, with ``h`` in ``jmat``'s units.
 
-    An int8 ``jmat`` is widened ``_WIDEN_ROWS`` rows at a time, since a
-    single ``spins @ jmat`` would widen a copy of all n x n couplings; it
-    occurs only in the exact regime, so the chunking does not change the
-    result. Other dtypes take one product.
+    An int8 ``jmat`` is copied into ``wide``, the solve's buffer of up to
+    ``_WIDEN_ROWS`` rows in the state dtype, one chunk of rows at a time,
+    and each chunk's product is added: a single ``spins @ jmat`` would
+    widen a copy of all n x n couplings, and a mixed product a fresh copy
+    of its chunk. It occurs only in the exact regime, so the chunking does
+    not change the result. Other dtypes take one product (``wide`` is None).
     """
-    rows = _WIDEN_ROWS if jmat.dtype == np.int8 else h.size
-    fields = spins[:, :rows] @ jmat[:rows]
-    for start in range(rows, h.size, rows):
-        fields += spins[:, start : start + rows] @ jmat[start : start + rows]
+    if wide is None:
+        return spins @ jmat + h
+    for start in range(0, h.size, len(wide)):
+        chunk = wide[: min(len(wide), h.size - start)]
+        chunk[...] = jmat[start : start + len(chunk)]
+        product = spins[:, start : start + len(chunk)] @ chunk
+        if start:
+            fields += product
+        else:
+            fields = product
     fields += h
     return fields
 
@@ -267,6 +279,23 @@ def _resolve_temps(config: SolverConfig, work: IsingModel) -> tuple[float, float
             " temp_initial, temp_final / temp_initial > 0 and a finite 2 / temp_final"
         )
     return t0, t1
+
+
+def _require_energy_range(work: IsingModel) -> None:
+    """ValueError unless every energy of ``work`` stays in float range, with
+    room for the solvers' sums: 4 (|offset| + sum |h| + sum |J|) must be
+    finite. That bounds every field, flip update and energy the anneal
+    forms (the sum it halves into an energy is at most twice the bound),
+    the 4J of int8 couplings, and every sum of the exact enumeration. The
+    bound is summed without an overflow warning.
+    """
+    with np.errstate(over="ignore"):
+        bound = abs(work.offset) + float(np.abs(work.lin).sum()) + float(np.abs(work.vals).sum())
+    if not math.isfinite(4.0 * bound):
+        raise ValueError(
+            f"the model's energy bound |offset| + sum |h| + sum |J| = {bound:.3g} is too close to float"
+            " range to solve: scale its coefficients or weights down"
+        )
 
 
 def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float):
@@ -290,22 +319,32 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     energy is bit for bit what fields in J give.
 
     Every buffer and block view the sweep uses is made once per solve;
-    only the field resync every 256 sweeps allocates, and, with int8
-    couplings, each block's matmul, which widens its rows itself.
+    only the field resync every 256 sweeps allocates. int8 couplings are
+    widened into one buffer of up to ``_WIDEN_ROWS`` rows in the state
+    dtype: each block gathers its int8 rows into ``j_buf``, copies them
+    into the buffer's first rows and multiplies float32 by float32 (a
+    mixed float32 x int8 matmul would widen a fresh copy of its rows on
+    every call), and ``_fields`` widens its chunks through the same
+    buffer. Widening int8 to float32 is exact.
     Each sweep, each restart draws its n acceptance uniforms into its row
-    of ``uniforms``, which the block views see. The visiting order is
-    shuffled in place, which is what ``Generator.permutation`` does to a
-    fresh ``arange``.
+    of ``uniforms``. The visiting order is shuffled in place, which is what
+    ``Generator.permutation`` does to a fresh ``arange``.
 
-    Each sweep gathers the spins once in visiting order (``visit``) and
-    derives two buffers from it: the flip deltas -2 * visit, and
-    visit * 2beta in float64. As s = +-1, (s * 2beta) * f is bit for bit
+    Each sweep gathers the spins once in visiting order (``visit``). The
+    values the blocks read and write are held block-major: block after
+    block, each block's (restarts, w) values are contiguous, so its views
+    are contiguous too, which makes its small elementwise steps cheaper
+    than on strided columns. One gather each copies ``visit`` and
+    ``uniforms`` into that order (``major`` maps an entry to its position,
+    ``gather`` a position to its entry), and two buffers derive from the
+    block-major spins: the flip deltas -2 * visit, and visit * 2beta in
+    float64. As s = +-1, (s * 2beta) * f is bit for bit
     (s * f) * 2beta, so a block needs one product for -dE * beta. The test
     u < exp(-dE * beta) needs no clamp of the exponent at 0: a positive one
     gives exp >= 1 > u, as the clamp would, and one past exp's range gives
     inf, so overflow warnings are silenced. Each block writes its deltas
     times the accept mask into its view of ``delta`` and multiplies that
-    strided view with its rows of ``jmat``. A rejected flip's entry is
+    view with its rows of ``jmat``. A rejected flip's entry is
     -2s * 0, which is -0.0 where s = +1 (a mask select would give +0.0).
     A signed zero adds nothing to a sum that has a nonzero term, so the
     only possible difference is the sign of a field or energy that is
@@ -314,10 +353,12 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     energy plus the offset equals its re-evaluation, in sign too unless
     the offset is -0.0.
     Every spin is visited once per sweep, so no block reads a spin that an
-    earlier block of the sweep flipped: after the last block,
-    ``visit += delta`` applies the flips (s - 2s = -s and
-    s + 0 = s, both exact) and one gather through the inverse of the
-    visiting order writes them back to ``spins``.
+    earlier block of the sweep flipped: after the last block, adding
+    ``delta`` to the block-major spins applies the flips (s - 2s = -s and
+    s + 0 = s, both exact), one gather puts them back in visiting order
+    and one through the inverse of the visiting order writes them to
+    ``spins``. Every value is computed by the same operations as in a
+    layout by visiting order, only stored elsewhere.
     """
     n = h.size
     restarts = config.restarts
@@ -328,45 +369,60 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
     for r, rng in enumerate(rngs):
         spins[r] = rng.integers(0, 2, n).astype(np.float64) * 2.0 - 1.0
     unit = 4.0 if jmat.dtype == np.int8 else 1.0  # int8 couplings hold 4J
+    # int8 couplings are widened into this one buffer: by _fields a chunk
+    # of rows at a time, by each block its gathered rows
+    wide = np.empty((min(_WIDEN_ROWS, n), n), h.dtype) if jmat.dtype == np.int8 else None
     h = h * unit
-    fields = _fields(spins, jmat, h)
+    fields = _fields(spins, jmat, h, wide)
 
     sweeps = config.sweeps
     temps = t0 * (t1 / t0) ** (np.arange(sweeps) / max(sweeps - 1, 1))
 
-    # per-sweep buffers in visiting order, each block's views of them, and
-    # scratch shared by all blocks (contiguous views of the widest block's)
+    # per-sweep buffers in visiting order; block-major ones, which hold each
+    # block's (restarts, w) values contiguously, and their views; scratch
+    # shared by all blocks (contiguous views of the widest block's)
     natural = np.arange(n)
     order, inverse = np.empty(n, np.intp), np.empty(n, np.intp)
     uniforms = np.empty((restarts, n))
     visit = np.empty_like(spins)
-    flips = np.empty_like(spins)  # flip deltas, -2 * visit
-    delta = np.empty_like(spins)  # flip deltas of accepted flips, +-0 elsewhere
-    visit2b = np.empty((restarts, n))  # visit * 2 beta
+    spans = np.array_split(natural, n if n <= 32 else (n + 15) // 16)
+    major = np.empty((restarts, n), np.intp)  # block-major position of each visiting-order entry
+    visit_bm, u_bm = np.empty(restarts * n, h.dtype), np.empty(restarts * n)  # visit, uniforms
+    flips = np.empty_like(visit_bm)  # flip deltas, -2 * visit
+    delta = np.empty_like(visit_bm)  # flip deltas of accepted flips, +-0 elsewhere
+    visit2b = np.empty(restarts * n)  # visit * 2 beta
     dfields = np.empty_like(spins)
     local = np.empty_like(spins)  # spins * (fields + h)
     energies = np.empty(restarts)
-    spans = np.array_split(natural, n if n <= 32 else (n + 15) // 16)
     widest = spans[0].size
     f_buf, p_buf = np.empty(restarts * widest, h.dtype), np.empty(restarts * widest)
     a_buf = np.empty(restarts * widest, bool)
     j_buf = np.empty((widest, n), jmat.dtype)
     blocks = []
     for span in spans:
-        cols, w = slice(int(span[0]), int(span[-1]) + 1), span.size
+        c0, w = int(span[0]), span.size
+        seg = slice(restarts * c0, restarts * (c0 + w))
+        major[:, c0 : c0 + w] = np.arange(seg.start, seg.stop).reshape(restarts, w)
         f_blk, p, accept = (buf[: restarts * w].reshape(restarts, w) for buf in (f_buf, p_buf, a_buf))
-        blocks.append((order[cols], f_blk, visit2b[:, cols], p, uniforms[:, cols], accept, flips[:, cols], delta[:, cols], j_buf[:w]))
+        v2b, u, fl, d_blk = (buf[seg].reshape(restarts, w) for buf in (visit2b, u_bm, flips, delta))
+        j_blk = j_buf[:w]
+        w_blk = j_blk if wide is None else wide[:w]  # the rows the block multiplies
+        blocks.append((order[c0 : c0 + w], f_blk, v2b, p, u, accept, fl, d_blk, j_blk, w_blk))
+    gather = np.empty(restarts * n, np.intp)  # the visiting-order entry at each block-major position
+    gather[major.ravel()] = np.arange(restarts * n)
 
     for sweep in range(sweeps):
         for r, rng in enumerate(rngs):
             rng.random(out=uniforms[r])
+        uniforms.take(gather, None, u_bm, "clip")
         order[:] = natural
         schedule_rng.shuffle(order)
         spins.take(order, 1, visit, "clip")
-        np.multiply(visit, -2.0, out=flips)
-        np.multiply(visit, 2.0 / temps[sweep] / unit, out=visit2b, dtype=np.float64)
+        visit.take(gather, None, visit_bm, "clip")
+        np.multiply(visit_bm, -2.0, out=flips)
+        np.multiply(visit_bm, 2.0 / temps[sweep] / unit, out=visit2b, dtype=np.float64)
         with np.errstate(over="ignore"):
-            for block, f_blk, v2b, p, u, accept, fl, d_blk, j_blk in blocks:
+            for block, f_blk, v2b, p, u, accept, fl, d_blk, j_blk, w_blk in blocks:
                 fields.take(block, 1, f_blk, "clip")
                 np.multiply(v2b, f_blk, out=p)  # -dE of each flip, times beta
                 np.exp(p, out=p)
@@ -374,12 +430,15 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
                 np.multiply(fl, accept, out=d_blk)
                 if np.count_nonzero(accept):
                     jmat.take(block, 0, j_blk, "clip")
-                    fields += np.matmul(d_blk, j_blk, out=dfields)
-        visit += delta
+                    if wide is not None:
+                        w_blk[...] = j_blk
+                    fields += np.matmul(d_blk, w_blk, out=dfields)
+        visit_bm += delta
+        visit_bm.take(major, None, visit, "clip")
         inverse[order] = natural
         visit.take(inverse, 1, spins, "clip")
         if (sweep & 255) == 255:
-            fields = _fields(spins, jmat, h)  # shed incremental-update drift
+            fields = _fields(spins, jmat, h, wide)  # shed incremental-update drift
         np.add(fields, h, out=local)
         np.multiply(spins, local, out=local)
         np.add.reduce(local, axis=1, dtype=np.float64, out=energies)
@@ -397,10 +456,14 @@ def _anneal_pool(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: floa
     """
     pool: dict[bytes, float] = {}
     pool_cap = max(32, 4 * config.top_k)
+    key_buf = None if h.dtype == np.float64 else np.empty((config.restarts, h.size))  # float32 spins as float64
     for spins, energies in _sweeps(h, jmat, config, t0, t1):
         if len(pool) >= pool_cap and energies.min() >= max(pool.values()):
             continue
-        keys = spins.astype(np.float64, copy=False)
+        keys = spins
+        if key_buf is not None:
+            key_buf[...] = spins
+            keys = key_buf
         for r, e in enumerate(energies.tolist()):
             if len(pool) >= pool_cap and e >= max(pool.values()):
                 continue
@@ -443,6 +506,7 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     config = config or SolverConfig()
     work = _as_positive_ising(model)
     t0, t1 = _resolve_temps(config, work)
+    _require_energy_range(work)
     h, jmat = _dense_fields(work)
     if config.emulate_latency_ms:
         time.sleep(config.emulate_latency_ms / 1000.0)

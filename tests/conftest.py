@@ -157,6 +157,39 @@ def reference_h3_pairs(start, end, job_of, machine_of, strict):
     return np.concatenate(rows), np.concatenate(cols)
 
 
+def reference_build_qubo(inst, weights, index, h3_mode):
+    """build_qubo as first written, term by term: H1 as one squared penalty
+    per operation, H2 per pair of a job's consecutive operations, H3 by
+    ``reference_h3_pairs``: the golden reference that the batched terms of
+    ``build_qubo`` must reproduce (same arrays, byte for byte)."""
+    from cimopt.fjsp import min_predecessor_time
+    from cimopt.qubo import QuboBuilder
+
+    start = np.array([e.start for e in index.entries])
+    end = start + np.array([inst.operation(e.job, e.op).times[e.machine] for e in index.entries])
+    builder = QuboBuilder(len(index))
+    if weights.alpha > 0:
+        for j, h, _ in inst.iter_operations():
+            builder.add_squared({k: 1.0 for k in index.group(j, h)}, -1.0, weights.alpha)
+    if weights.beta > 0:
+        for j, job in enumerate(inst.jobs):
+            for h in range(len(job.operations) - 1):
+                pred, succ = np.array(index.group(j, h)), np.array(index.group(j, h + 1))
+                p, s = np.nonzero(start[succ][None, :] < end[pred][:, None])
+                builder.add_pairs(pred[p], succ[s], weights.beta)
+    if weights.gamma > 0:
+        job_of = np.array([e.job for e in index.entries])
+        machine_of = np.array([e.machine for e in index.entries])
+        a, b = reference_h3_pairs(start, end, job_of, machine_of, h3_mode == "strict")
+        builder.add_pairs(a, b, weights.gamma if h3_mode == "strict" else 2.0 * weights.gamma)
+    if weights.delta > 0:
+        for j, job in enumerate(inst.jobs):
+            last = len(job.operations) - 1
+            group = np.array(index.group(j, last))
+            builder.add_diag(group, weights.delta * (end[group] - min_predecessor_time(inst, j, last)))
+    return builder.build()
+
+
 def reference_anneal_pool(h, jmat, config, t0, t1):
     """The annealer as first written, all in float64: the golden reference
     that the solver's dtype choice and block step must reproduce bit for bit.

@@ -185,6 +185,33 @@ class TestPeptideCommand:
         assert rc == 1
 
 
+class TestWeightsPastFloatRange:
+    """Weights whose model or energies leave float range exit 1 with a
+    message; each ended in a RuntimeWarning (a traceback under
+    -W error::RuntimeWarning), and the last one exited 0."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a term of the model overflows while it is built
+            (["peptide", "--weights", "1,1e305"], "diag[0] is not finite: -inf"),
+            (["fjsp", "--weights", "1e308,1e308,1e308,1e308"], "is not finite: inf"),
+            # every coefficient is finite, but the energies summed past float range
+            (["peptide", "-i", "1", "--sweeps", "5", "--weights", "1e305,1"], "too close to float range"),
+        ],
+        ids=["peptide-build", "fjsp-build", "peptide-energies"],
+    )
+    def test_refused_without_warning(self, tmp_path, capsys, argv, message):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main([*argv, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert not caught
+        assert not (tmp_path / "out" / "result.json").exists()
+
+
 class TestQuboTools:
     @pytest.fixture
     def two_var(self, tmp_path):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cimopt import fjsp
 from cimopt.errors import BudgetExceededError, DimensionError, InfeasibleHorizonError
 from cimopt.fjsp import (
     FjspInstance,
@@ -42,7 +41,7 @@ from conftest import (
     index_bits,
     random_fjsp_instance,
     random_micro_instance,
-    reference_h3_pairs,
+    reference_build_qubo,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "cimopt" / "fixtures"
@@ -337,17 +336,16 @@ H3_WEIGHTS = [FjspWeights(150, 100, 100, 15), FjspWeights(1.3, 0.7, 2.9, 0.1)]
 
 
 class TestWindowedH3:
-    """build_qubo pairs H3 by start-time windows; the arrays must equal
-    those of a build that makes every same-machine pair and filters."""
+    """build_qubo pairs H3 by start-time windows and adds H1 and H2 in one
+    batch each; the arrays must equal those of a build that adds H1 and H2
+    per operation and makes every same-machine H3 pair and filters."""
 
     @staticmethod
     def assert_matches_reference(inst, index):
         for weights in H3_WEIGHTS:
             for mode in ("strict", "paper-literal"):
                 q = build_qubo(inst, weights, index, mode)
-                with pytest.MonkeyPatch.context() as m:
-                    m.setattr(fjsp, "_h3_pairs", reference_h3_pairs)
-                    expected = build_qubo(inst, weights, index, mode)
+                expected = reference_build_qubo(inst, weights, index, mode)
                 for name in ("lin", "rows", "cols", "vals"):
                     got, want = getattr(q, name), getattr(expected, name)
                     assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (mode, weights, name)
@@ -380,6 +378,13 @@ class TestWindowedH3:
         index = prune_variables(inst)
         assert len(index) == 1965
         self.assert_matches_reference(inst, index)
+
+    def test_shuffled_index(self):
+        # an index in any order: no operation's variables are contiguous
+        inst = random_fjsp_instance(np.random.default_rng(2), 4, 3, slack=4)
+        index = prune_variables(inst)
+        entries = [index.entries[k] for k in np.random.default_rng(3).permutation(len(index))]
+        self.assert_matches_reference(inst, VariableIndex(tuple(entries), index.raw_count))
 
 
 class TestDecode:

@@ -31,8 +31,8 @@ RUNS = {
     "peptide-i2-s200-seed1": ["peptide", "-i", "2", "--sweeps", "200", "--seed", "1"],
     # ends violation-free, so a change to the one-hot anneal shows in its compositions
     "peptide-w1000-i3-s300-seed1": ["peptide", "--weights", "1000,1", "-i", "3", "--sweeps", "300", "--seed", "1"],
-    # the int8 path at n = 260: crosses the 256-row chunk of the field
-    # resync, and the resync after sweep 256
+    # the int8 path at n = 260: the field resync widens its couplings in
+    # chunks of rows, and 300 sweeps cross the resync after sweep 256
     "peptide-quantize-w1000-i3-s300-seed1": [
         "peptide", "--quantize", "--weights", "1000,1", "-i", "3", "--sweeps", "300", "--seed", "1",
     ],
@@ -41,7 +41,7 @@ RUNS = {
         "fjsp", "-i", "2", "--sweeps", "200", "--seed", "4", "--readout-flip-prob", "0.05",
     ],
     # the bench-scale int8 path: n = 2,726 in 171 blocks a sweep, couplings
-    # widened in 11 chunks of rows; exits 2 with no feasible incumbent
+    # widened in 86 chunks of rows; exits 2 with no feasible incumbent
     "fjsp-ladder530-quantize-i1-s50-seed9": [
         "fjsp", "--instance", str(LADDER), "--quantize", "-i", "1", "--sweeps", "50", "--seed", "9",
     ],

@@ -355,6 +355,30 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match=r"temp_initial=.* and temp_final=.* leave float range"):
             solve_annealed(model, SolverConfig(sweeps=3, **temps))
 
+    def test_energies_past_float_range_rejected(self, monkeypatch):
+        # finite coefficients and temperatures, but 4 (sum |h| + sum |J|) leaves
+        # float range; energies that overflowed were pooled and ranked as inf
+        model = IsingModel(4, (1.2e307,) * 4, {(0, 1): 1.0})
+        monkeypatch.setattr(solver, "_dense_fields", lambda work: pytest.fail("made the matrix"))
+        with pytest.raises(ValueError, match=r"sum \|J\| = 4.8e\+307 is too close to float range"):
+            solve_annealed(model, SolverConfig(sweeps=3))
+
+    def test_exact_energies_past_float_range_rejected(self):
+        # ranked (-1, -1, 1) at -inf after a RuntimeWarning, though its energy is -1e308
+        with pytest.raises(ValueError, match="too close to float range"):
+            solve_exact(IsingModel(3, (1e308,) * 3, {}))
+
+    @pytest.mark.parametrize("model, ground", [
+        # 4 (sum |h| + sum |J|) = 1.6e308 is finite
+        (IsingModel(4, (1e307, -1e307, 1e307, -1e307), {(0, 1): 1.0, (2, 3): -2.0}), -4e307),
+        # the float32 rule's bound 8 (max |h| + n max |J|) = 1.6e309 is not
+        (IsingModel(200, (0.0,) * 200, {(0, 1): 1e306}), -1e306),
+    ])
+    def test_energies_within_the_bound_anneal_without_warning(self, model, ground):
+        # no field, flip update or energy of the anneal overflows (pytest
+        # turns a RuntimeWarning into an error)
+        assert solve_annealed(model, SolverConfig(sweeps=20, restarts=2)).best[1] == ground
+
     def test_int_and_float_settings_accepted(self):
         config = SolverConfig(sweeps=5, restarts=1, temp_initial=2, temp_final=0.5, readout_flip_prob=0)
         assert solve_annealed(TWO_VAR, config).meta["temp_initial"] == 2.0
@@ -481,9 +505,12 @@ class TestAnnealStateDtype:
             (200, {"restarts": 656, "sweeps": 3}),  # 656 * 200 > 2**17 uniforms a sweep
             (47, {"sweeps": 1}),  # a one-sweep schedule is t0 alone
             (33, {"sweeps": 2}),  # the shortest schedule that reaches t1
-            # the int8 leg widens its couplings in two chunks of _WIDEN_ROWS,
-            # and 300 sweeps cross the resync after sweep 256
+            # the int8 leg widens its couplings in ten chunks of _WIDEN_ROWS
+            # (32), and 300 sweeps cross the resync after sweep 256
             (300, {}),
+            # three chunks through the one widening buffer, the last one short,
+            # and the resync after sweep 256
+            (72, {"sweeps": 260}),
         ],
     )
     def test_pool_matches_float64_reference(self, n, settings, quantized):
