@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import asdict
@@ -24,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fjsp, gantt, peptide, qubo
-from .errors import BudgetExceededError, PolicyError
+from .errors import BudgetExceededError, PolicyError, require_finite
 from .solver import SolverConfig
 from .tuner import (
     FjspTask,
@@ -87,8 +86,7 @@ def _parse_weights(text: str | None, names: tuple[str, ...], default: tuple[floa
 
 
 def _make_policy(selector: str, task, timeout: float):
-    if not (math.isfinite(timeout) and timeout > 0):  # whatever the policy, so a bad flag never passes unseen
-        raise ValueError(f"--policy-timeout must be a finite number > 0, got {timeout}")
+    require_finite(timeout, "--policy-timeout", positive=True)  # whatever the policy, so a bad flag never passes unseen
     if selector == "rule":
         if task.kind == "fjsp":
             return rule_policy_fjsp

@@ -66,21 +66,24 @@ def require_type(values, types: tuple[type, ...], what: str) -> list:
     return values
 
 
-def require_int(value, what: str, low: int, high: int | None = None) -> int:
+def require_int(value, what: str, low: int, high: int | None = None, words: str | None = None) -> int:
     """The value, after checking it is an int (never a bool) in [low, high],
-    or >= low when ``high`` is None."""
+    or >= low when ``high`` is None. ``words``, when given, names the range
+    in the message, as in "seed must be a non-negative 64-bit integer"."""
     (value,) = require_type([value], (int,), what)
-    if high is None and value < low:
-        raise ValueError(f"{what} must be >= {low}, got {value}")
-    if high is not None and not low <= value <= high:
-        raise ValueError(f"{what} must be in [{low}, {high}], got {value}")
+    if not (low <= value and (high is None or value <= high)):
+        rule = words or (f">= {low}" if high is None else f"in [{low}, {high}]")
+        raise ValueError(f"{what} must be {rule}, got {value}")
     return value
 
 
-def require_finite(value, what: str) -> float:
+def require_finite(value, what: str, positive: bool = False) -> float:
     """The value as a float, after checking it is a finite int or float:
-    never a bool or a string, an integer beyond float range, NaN or inf."""
+    never a bool or a string, an integer beyond float range, NaN or inf;
+    and > 0 when ``positive``, with one message for NaN, inf and <= 0."""
     (value,) = require_type([value], (int, float), what)
+    if positive and not 0 < value < math.inf:
+        raise ValueError(f"{what} must be a finite number > 0, got {value!r}")
     try:
         value = float(value)
     except OverflowError:  # a JSON integer too large for a float

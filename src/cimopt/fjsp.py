@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -74,9 +75,9 @@ class FjspInstance:
     jobs: tuple[Job, ...]
 
     def __post_init__(self):
-        require_type([self.machines, self.t_max], (int,), "machines and t_max")  # one type message for both
-        require_int(self.machines, "machines", 1)
-        require_int(self.t_max, "t_max", 0)
+        # one message names both fields and both bounds
+        for value, low in ((self.machines, 1), (self.t_max, 0)):
+            require_int(value, "machines and t_max", low, words="ints with machines >= 1 and t_max >= 0")
         if not self.jobs:
             raise ValueError("instance has no jobs")
         for j, job in enumerate(self.jobs):
@@ -300,9 +301,16 @@ def _h3_pairs(
     first, second = _window_pairs(lo, hi)
     a, b = order[first], order[second]
     hit = job_of[a] != job_of[b]
+    a, b = a[hit], b[hit]
     n = start.size
-    pairs = np.sort(np.minimum(a, b)[hit] * n + np.maximum(a, b)[hit])
-    return pairs // n, pairs % n
+    pairs = np.minimum(a, b)
+    pairs *= n - 1  # min * n + max, as min * (n - 1) + a + b: no array for max
+    pairs += a
+    pairs += b
+    pairs.sort()
+    rows = pairs // n
+    pairs -= rows * n  # pairs % n without a second division
+    return rows, pairs
 
 
 def build_qubo(
@@ -500,7 +508,7 @@ def decode_schedule(
     """
     if len(bits) != len(index):
         raise DimensionError(f"bit vector has {len(bits)} entries for index size {len(index)}")
-    selected = [entry for entry, bit in zip(index.entries, bits) if bit]
+    selected = list(compress(index.entries, bits))
     for e in selected:
         if not (0 <= e.job < len(inst.jobs) and 0 <= e.op < len(inst.jobs[e.job].operations)):
             raise DimensionError(f"index entry {e} does not exist in the instance")

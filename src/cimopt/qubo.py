@@ -69,6 +69,15 @@ class _Pairs(NamedTuple):  # COO pair arrays: how a model is built without a dic
     vals: np.ndarray
 
 
+class _ValidPairs(_Pairs):
+    """Pairs whose indices are known to be upper-triangular, sorted and
+    unique for the model's n: a validated model's own arrays, a subset of
+    them, or ``QuboBuilder.build``'s. ``_store`` holds them without checking
+    the indices again; it still checks that the values are finite."""
+
+    __slots__ = ()
+
+
 def _frozen(values, dtype) -> np.ndarray:
     """A read-only array of ``dtype``, copied unless it is one already.
 
@@ -106,7 +115,8 @@ class _Terms:
 
         An array already read-only and of its dtype is held, not copied.
         The checks make boolean temporaries only; pairs out of order are
-        sorted by an int64 key ``rows * n + cols``, made only then.
+        sorted by an int64 key ``rows * n + cols``, made only then. The
+        index checks and the sort are skipped for ``_ValidPairs``.
         """
         lin_name, pair_name = self._NAMES
         n = require_int(n, "n", 1)
@@ -117,14 +127,15 @@ class _Terms:
             if ij.dtype.kind not in "iu" or ij.shape != (len(pairs), 2):
                 raise ValueError(f"{pair_name} keys must be integer pairs (i, j)")
             pairs = _Pairs(ij[:, 0], ij[:, 1], list(pairs.values()))
+        valid = isinstance(pairs, _ValidPairs)
         rows, cols, vals = _frozen(pairs.rows, np.intp), _frozen(pairs.cols, np.intp), _frozen(pairs.vals, dtype)
         if (i := _first(~np.isfinite(lin))) is not None:
             raise ValueError(f"{lin_name}[{i}] is not finite: {lin[i]}")
-        if (k := _first((rows < 0) | (rows >= cols) | (cols >= n))) is not None:
+        if not valid and (k := _first((rows < 0) | (rows >= cols) | (cols >= n))) is not None:
             raise ValueError(f"{pair_name} key ({rows[k]}, {cols[k]}) is not an upper-triangular pair for n={n}")
         if (k := _first(~np.isfinite(vals))) is not None:
             raise ValueError(f"{pair_name} coefficient at ({rows[k]}, {cols[k]}) is not finite: {vals[k]}")
-        if not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
+        if not valid and not np.all((rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))):
             order = np.argsort(key := rows * n + cols, kind="stable")
             rows, cols, vals, key = rows[order], cols[order], vals[order], key[order]
             if (k := _first(key[1:] == key[:-1])) is not None:
@@ -329,7 +340,8 @@ class QuantizedQubo(_Terms):
             raise ValueError(f"scale must be positive, got {scale!r}")
         self._store(n, int_diag, int_upper, np.int64, scale=scale, report=report)
         for values in (self.lin, self.vals):
-            if (k := _first((values < INT8_MIN) | (values > INT8_MAX))) is not None:
+            if values.min(initial=INT8_MIN) < INT8_MIN or values.max(initial=INT8_MAX) > INT8_MAX:  # no masks
+                k = _first((values < INT8_MIN) | (values > INT8_MAX))
                 raise ValueError(f"quantized value {values[k]} outside [{INT8_MIN}, {INT8_MAX}]")
 
     def to_matrix(self) -> QuboMatrix:
@@ -338,9 +350,9 @@ class QuantizedQubo(_Terms):
         Pairs that rounded to 0 are dropped; when there are none, the
         matrix shares this one's read-only index arrays.
         """
-        pairs = _Pairs(self.rows, self.cols, self.vals)
+        pairs = _ValidPairs(self.rows, self.cols, self.vals)
         if not (keep := self.vals != 0).all():
-            pairs = _Pairs(self.rows[keep], self.cols[keep], self.vals[keep])
+            pairs = _ValidPairs(self.rows[keep], self.cols[keep], self.vals[keep])
         return QuboMatrix(self.n, self.lin, pairs)
 
 
@@ -427,11 +439,13 @@ class QuboBuilder:
 
         Each batch is range-checked, then keyed as ``min * n + max`` into
         one int64 array, and its values are copied into one float64 array.
-        One stable sort of the keys lines up each pair's contributions in
-        insertion order, and they are summed in that order. Besides the
-        builder's batches, it holds at most four pair-sized arrays at once:
-        the keys, the values, the sort order and the sorted values. The
-        result's arrays are read-only, so the QuboMatrix holds them as they are.
+        One stable argsort of the keys lines up each pair's contributions in
+        insertion order; the keys and the values are gathered by it, and each
+        pair's contributions are summed in that order. Besides the builder's
+        batches, it holds at most four pair-sized arrays at once: the keys,
+        the values, the sort order and one gathered array. The result's
+        arrays are read-only and valid, so the QuboMatrix holds them as they
+        are and checks only that the sums are finite.
         """
         n, size = self.n, sum(batch.rows.size for batch in self._pairs)
         key, vals = np.empty(size, np.int64), np.empty(size)
@@ -439,49 +453,79 @@ class QuboBuilder:
         for rows, cols, values in self._pairs:
             start, stop = stop, stop + rows.size
             lo = np.minimum(rows, cols, out=key[start:stop])
-            if (k := _first((lo < 0) | (rows >= n) | (cols >= n))) is not None:
+            if rows.size and (lo.min() < 0 or rows.max() >= n or cols.max() >= n):  # reductions, no masks
+                k = _first((lo < 0) | (rows >= n) | (cols >= n))
                 raise ValueError(f"pair ({rows[k]}, {cols[k]}) is out of range for n={n}")
             lo *= n - 1  # min * n + max, as min * (n - 1) + rows + cols: no array for max
             lo += rows
             lo += cols
             vals[start:stop] = values
-        vals = vals[np.argsort(key, kind="stable")]
-        key.sort()  # in place; equal keys are alike, so this is the stable order too
+        order = np.argsort(key, kind="stable")
+        key = key.take(order)
+        vals = vals.take(order)
+        del order
         first = np.empty(size, bool)  # the first of each key's contributions
         first[:1] = True
         np.not_equal(key[1:], key[:-1], out=first[1:])
-        summed = vals[first]
-        # a repeat at sorted position p adds, in insertion order, to sum p - (repeats up to p)
-        repeats = np.flatnonzero(~first)
-        with np.errstate(over="ignore", invalid="ignore"):  # QuboMatrix refuses what is not finite
-            np.add.at(summed, repeats - np.arange(1, repeats.size + 1), vals[repeats])
-        del vals
-        keep = summed != 0.0  # pairs that cancel to zero are dropped
-        first[first] = keep
-        key = key[first]
-        summed = summed[keep]
-        cols = key % n
-        key //= n  # the rows
-        key.flags.writeable = cols.flags.writeable = summed.flags.writeable = False
-        return QuboMatrix(n, self._diag, _Pairs(key, cols, summed), self._offset)
+        if not first.all():
+            summed = vals[first]
+            # a repeat at sorted position p adds, in insertion order, to sum p - (repeats up to p)
+            repeats = np.flatnonzero(~first)
+            with np.errstate(over="ignore", invalid="ignore"):  # QuboMatrix refuses what is not finite
+                np.add.at(summed, repeats - np.arange(1, repeats.size + 1), vals[repeats])
+            key, vals = key[first], summed
+        del first
+        if not (keep := vals != 0.0).all():  # pairs that cancel to zero are dropped
+            key, vals = key[keep], vals[keep]
+        rows = key // n
+        key -= rows * n  # the cols, key % n without a second division
+        rows.flags.writeable = key.flags.writeable = vals.flags.writeable = False
+        return QuboMatrix(n, self._diag, _ValidPairs(rows, key, vals), self._offset)
+
+
+_ENERGY_ROWS = 16  # states whose entries batch_energy packs into one uint16 per variable
 
 
 def batch_energy(model: QuboMatrix | IsingModel, states) -> np.ndarray:
     """Energies of the rows of a (k, n) matrix: bits for a QUBO, spins for an Ising model.
 
     The one energy kernel; ``qubo_energy`` and ``ising_energy`` are its
-    k = 1 case. Rows are evaluated one at a time by the same operations
-    (numpy's own sums, whatever the BLAS threading), so an energy never
-    depends on the batch, and no (k x pairs) array is made.
+    k = 1 case. Each row's energy is ``(lin * row).sum() + (p * vals).sum()``
+    with p = row[rows] * row[cols], numpy's own sums of the same arrays
+    whatever the batch or the BLAS threading, so an energy never depends on
+    the batch. As the entries of a row are all 0 or 1, or all +-1, p * vals
+    is bit for bit (vals * row[rows]) * row[cols], signed zeros included.
+
+    For up to ``_ENERGY_ROWS`` rows at a time, bit r of ``masks[i]`` holds
+    whether entry i of row r is 1. One pass over the pair indices gathers
+    both ends' masks, and their AND (bits) or XOR (spins) holds, in bit r,
+    whether row r's product is 1 (bits) or -1 (spins). Each row then takes
+    its bit into a float64 row of terms. Besides that row, it makes two
+    uint16 arrays over the pairs.
     """
     x = np.asarray(states, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != model.n:
         raise DimensionError(f"states of shape {x.shape} do not match n={model.n}")
-    low, what = (-1.0, "spin") if isinstance(model, IsingModel) else (0.0, "bit")
+    ising = isinstance(model, IsingModel)
+    low, what = (-1.0, "spin") if ising else (0.0, "bit")
     if (k := _first((x != low) & (x != 1.0))) is not None:
         r, i = divmod(k, model.n)
         raise ValueError(f"{what} {i} of state {r} is {x[r, i]:g}, expected {low:g} or 1")
-    out = np.array([(model.lin * row).sum() + (model.vals * row[model.rows] * row[model.cols]).sum() for row in x])
+    out, terms = np.empty(len(x)), np.empty(model.vals.size)
+    for start in range(0, len(x), _ENERGY_ROWS):
+        block = x[start : start + _ENERGY_ROWS]
+        masks = (block == 1.0).T @ (np.uint16(1) << np.arange(len(block), dtype=np.uint16))
+        pair, bit = masks.take(model.rows), masks.take(model.cols)
+        (np.bitwise_xor if ising else np.bitwise_and)(pair, bit, out=pair)
+        for r, row in enumerate(block):
+            np.right_shift(pair, r, out=bit)
+            np.bitwise_and(bit, 1, out=bit)
+            np.copyto(terms, bit)
+            if ising:  # p = 1 - 2 * bit
+                terms *= -2.0
+                terms += 1.0
+            terms *= model.vals
+            out[start + r] = (model.lin * row).sum() + terms.sum()
     return (-out if getattr(model, "convention", None) is IsingConvention.NEGATED_SUM else out) + model.offset
 
 
@@ -529,7 +573,7 @@ def qubo_to_ising(q: QuboMatrix, convention: IsingConvention = IsingConvention.P
     if convention is IsingConvention.NEGATED_SUM:
         h, quarter = -h, -quarter
     quarter.flags.writeable = False  # so the model holds it without a copy
-    return IsingModel(q.n, h, _Pairs(q.rows, q.cols, quarter), offset, convention)
+    return IsingModel(q.n, h, _ValidPairs(q.rows, q.cols, quarter), offset, convention)
 
 
 def ising_energy(m: IsingModel, s: Sequence[int]) -> float:
@@ -543,7 +587,7 @@ def flip_convention(m: IsingModel) -> IsingModel:
     """Re-express the model in the other convention; energies are unchanged."""
     positive = m.convention is IsingConvention.POSITIVE_SUM
     other = IsingConvention.NEGATED_SUM if positive else IsingConvention.POSITIVE_SUM
-    return IsingModel(m.n, -m.lin, _Pairs(m.rows, m.cols, -m.vals), m.offset, other)
+    return IsingModel(m.n, -m.lin, _ValidPairs(m.rows, m.cols, -m.vals), m.offset, other)
 
 
 def _round_to_int8(values: np.ndarray) -> np.ndarray:
@@ -572,22 +616,23 @@ def quantize_int8(q: QuboMatrix) -> QuantizedQubo:
 
     Besides its int64 result, which the QuantizedQubo holds without a copy
     and shares q's index arrays with, it holds one float64 copy of the
-    coefficients, scaled and rounded in place, and a nonzero mask.
+    coefficients, scaled and rounded in place; their magnitudes, for the
+    statistics, are freed before the rounding.
     """
-    stats = coefficient_stats(q)
+    values = np.concatenate([q.lin, q.vals])
+    stats = _magnitude_stats(np.abs(values))
     if stats.max_abs == 0.0:
         raise DegenerateMatrixError("all coefficients are zero; quantization scale is undefined")
     scale = INT8_MAX / stats.max_abs
     if not math.isfinite(scale):
         raise DegenerateMatrixError(f"coefficients are too small to quantize (largest magnitude {stats.max_abs!r})")
-    values = np.concatenate([q.lin, q.vals])
-    nonzero = values != 0.0
+    nonzero = int(np.count_nonzero(values))
     values *= scale
     ints = _round_to_int8(values)
     ints.flags.writeable = False
-    zeroed = int(np.count_nonzero(nonzero & (ints == 0))) / int(np.count_nonzero(nonzero))
+    zeroed = (nonzero - int(np.count_nonzero(ints))) / nonzero  # only a nonzero coefficient rounds to nonzero
     report = QuantizationReport(zeroed, stats.dynamic_range_orders, stats.max_abs)
-    return QuantizedQubo(q.n, ints[: q.n], _Pairs(q.rows, q.cols, ints[q.n :]), scale, report)
+    return QuantizedQubo(q.n, ints[: q.n], _ValidPairs(q.rows, q.cols, ints[q.n :]), scale, report)
 
 
 def coefficient_stats(q: QuboMatrix, near_zero_threshold: float = 1e-4) -> CoefficientStats:
@@ -597,7 +642,11 @@ def coefficient_stats(q: QuboMatrix, near_zero_threshold: float = 1e-4) -> Coeff
     max|c|, so it is a statement about the max-abs-normalized matrix.
     """
     mags = np.concatenate([q.lin, q.vals])
-    np.abs(mags, out=mags)
+    return _magnitude_stats(np.abs(mags, out=mags), near_zero_threshold)
+
+
+def _magnitude_stats(mags: np.ndarray, near_zero_threshold: float = 1e-4) -> CoefficientStats:
+    """``coefficient_stats`` of the coefficients' magnitudes ``mags``."""
     max_abs = float(mags.max())
     if max_abs == 0.0:
         return CoefficientStats(0.0, 0.0, 0.0, 1.0, near_zero_threshold)

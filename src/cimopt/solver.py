@@ -28,7 +28,6 @@ from .qubo import (  # qubo_energy, ising_energy: kept in this namespace, bench/
     quantize_int8,
     qubo_energy,
     qubo_to_ising,
-    spins_to_bits,
 )
 
 __all__ = [
@@ -55,9 +54,7 @@ Model = Union[IsingModel, QuboMatrix]
 
 def _require_seed(seed) -> None:
     """The one seed rule: an int in [0, 2**64), so no seed is masked into another."""
-    require_type([seed], (int,), "seed")
-    if not 0 <= seed <= _SEED_MASK:
-        raise ValueError(f"seed must be a non-negative 64-bit integer, got {seed}")
+    require_int(seed, "seed", 0, _SEED_MASK, words="a non-negative 64-bit integer")
 
 
 def _require_probability(p, what: str) -> None:
@@ -127,7 +124,10 @@ class SolveResult:
         return self.solutions[0]
 
     def bits(self, rank: int = 0) -> tuple[int, ...]:
-        return spins_to_bits(self.solutions[rank][0])
+        """Solution ``rank``'s bits, x = (s + 1) / 2. The solvers made its
+        spins, so they are -1 or 1 and are not checked again."""
+        spins = self.solutions[rank][0]
+        return tuple(((np.fromiter(spins, np.int8, len(spins)) + 1) >> 1).tolist())
 
 
 def _as_positive_ising(model: Model) -> IsingModel:
@@ -221,15 +221,25 @@ def _dense_fields(work: IsingModel) -> tuple[np.ndarray, np.ndarray]:
     n**2 bytes instead of 4 n**2. Every other model keeps float32 or
     float64 couplings, in the dtype of ``h``. The pair-sized temporaries
     of these checks are freed before the matrix is made.
+
+    The checks read each coefficient array once for its largest magnitude
+    and once more against 4J: when 4 max|J| <= 127 (scaling by 4 is exact),
+    4J is narrowed to int8 at once, and the narrowed values equal 4J exactly
+    where 4J is integral; otherwise 4J is compared with its rounding.
     """
+    lin_max, vals_max = _max_abs(work.lin), _max_abs(work.vals)
     quarters = work.vals * 4.0
-    bound = 8.0 * (_max_abs(work.lin) + work.n * _max_abs(work.vals))
-    exact = bound < 2**24 and all(np.array_equal(x, np.round(x)) for x in (work.lin * 4.0, quarters))
-    dtype = np.float32 if exact else np.float64
-    coupling_dtype, vals = dtype, work.vals
-    if exact and _max_abs(quarters) <= INT8_MAX:
-        coupling_dtype, vals = np.int8, quarters.astype(np.int8)  # 4J
+    narrow = 4.0 * vals_max <= INT8_MAX
+    grid = quarters.astype(np.int8) if narrow else np.round(quarters)
+    exact = (
+        8.0 * (lin_max + work.n * vals_max) < 2**24
+        and np.array_equal(grid, quarters)
+        and np.array_equal(lin4 := work.lin * 4.0, np.round(lin4))
+    )
     del quarters
+    dtype = np.float32 if exact else np.float64
+    coupling_dtype, vals = (np.int8, grid) if exact and narrow else (dtype, work.vals)  # int8 holds 4J
+    del grid
     jmat = np.zeros((work.n, work.n), coupling_dtype)
     jmat[work.rows, work.cols] = jmat[work.cols, work.rows] = vals
     return work.lin.astype(dtype), jmat
@@ -447,23 +457,26 @@ def _sweeps(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1
 
 
 def _anneal_pool(h: np.ndarray, jmat: np.ndarray, config: SolverConfig, t0: float, t1: float) -> dict[bytes, float]:
-    """Pool the distinct states that ``_sweeps`` yields, keyed by their spins
-    as float64 bytes, each with the lowest energy less the offset it had.
-    Up to ``pool_cap`` states are kept. While the pool is full, a state
-    enters only below the pool's largest energy, and a sweep whose energies
-    all reach it is skipped whole. A new state that overfills the pool cuts
-    it to the ``pool_cap // 2`` lowest by (energy, key).
+    """Pool the distinct states that ``_sweeps`` yields, each with the
+    lowest energy less the offset it had. A state's key holds one byte per
+    spin, 1 where the spin is -1 and 0 where it is +1, so the spins are
+    1 - 2 * key. Up to ``pool_cap`` states are kept. While the pool is full,
+    a state enters only below the pool's largest energy, and a sweep whose
+    energies all reach it is skipped whole. A new state that overfills the
+    pool cuts it to the ``pool_cap // 2`` lowest by (energy, key).
+
+    The keys order states as their spins' float64 bytes did: +1.0 and -1.0
+    differ only in the byte that holds the sign, 0x3F against 0xBF, so in
+    both forms the first spin that differs decides, and +1 sorts first.
+    Eviction therefore keeps the same states in the same order.
     """
     pool: dict[bytes, float] = {}
     pool_cap = max(32, 4 * config.top_k)
-    key_buf = None if h.dtype == np.float64 else np.empty((config.restarts, h.size))  # float32 spins as float64
+    keys = np.empty((config.restarts, h.size), np.uint8)
     for spins, energies in _sweeps(h, jmat, config, t0, t1):
         if len(pool) >= pool_cap and energies.min() >= max(pool.values()):
             continue
-        keys = spins
-        if key_buf is not None:
-            key_buf[...] = spins
-            keys = key_buf
+        np.less(spins, 0, out=keys)
         for r, e in enumerate(energies.tolist()):
             if len(pool) >= pool_cap and e >= max(pool.values()):
                 continue
@@ -511,7 +524,7 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
     if config.emulate_latency_ms:
         time.sleep(config.emulate_latency_ms / 1000.0)
     pool = _anneal_pool(h, jmat, config, t0, t1)
-    spins = np.frombuffer(b"".join(pool), dtype=np.float64).reshape(len(pool), work.n)
+    spins = 1 - 2 * np.frombuffer(b"".join(pool), np.uint8).reshape(len(pool), work.n).astype(np.int8)
     # a float32 anneal is exact, so its pool holds each state's energy less the offset
     exact = np.fromiter(pool.values(), np.float64, len(pool)) + work.offset if h.dtype == np.float32 else None
     solutions = _rank(spins, work, config.top_k, exact)
@@ -533,7 +546,7 @@ def solve_annealed(model: Model, config: SolverConfig | None = None) -> SolveRes
 
 def _original_energies(original: QuboMatrix, solutions) -> list[float]:
     """Each solution's energy under the unquantized matrix, in order."""
-    bits = (np.array([vec for vec, _ in solutions]) + 1) // 2
+    bits = (np.array([vec for vec, _ in solutions], np.int8) + 1) >> 1
     return batch_energy(original, bits).tolist()
 
 

@@ -630,10 +630,7 @@ def external_policy(endpoint: str, timeout: float = 30.0) -> Callable[[PolicyCon
     ``timeout`` that is not an int or float, finite and > 0, raises
     ValueError.
     """
-    require_type([timeout], (int, float), "policy timeout")
-    if not 0 < timeout < math.inf:
-        raise ValueError(f"policy timeout must be a finite number > 0, got {timeout!r}")
-    require_finite(timeout, "policy timeout")  # an int beyond float range
+    require_finite(timeout, "policy timeout", positive=True)
     is_http = endpoint.startswith("http://") or endpoint.startswith("https://")
     argv = None if is_http else shlex.split(endpoint)
     if not is_http and not argv:

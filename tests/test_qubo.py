@@ -661,6 +661,30 @@ class TestBatchKernel:
             expected = [ising_energy(m, row).hex() for row in spins.tolist()]
             assert expected == [e.hex() for e in batch_energy(m, spins).tolist()]
 
+    @staticmethod
+    def row_at_a_time(model, states):
+        """The kernel as first written: each row's pair products in float64,
+        (vals * row[rows]) * row[cols], one row at a time."""
+        x = np.asarray(states, dtype=np.float64)
+        out = np.array([(model.lin * row).sum() + (model.vals * row[model.rows] * row[model.cols]).sum() for row in x])
+        return (-out if getattr(model, "convention", None) is IsingConvention.NEGATED_SUM else out) + model.offset
+
+    @pytest.mark.parametrize("k", [1, 16, 17, 40])
+    def test_equals_row_at_a_time_products(self, k):
+        # fractional weights, so sums in another order would differ in low
+        # bits; 17 and 40 rows cross the 16-row batches; five pairs hold -0.0
+        rng = np.random.default_rng(k)
+        n = 300
+        rows, cols = np.triu_indices(n, 1)
+        pick = rng.random(rows.size) < 0.3
+        vals = rng.normal(scale=7.0, size=int(pick.sum())) / 3.0
+        vals[:5] = -0.0
+        upper = dict(zip(zip(rows[pick].tolist(), cols[pick].tolist()), vals.tolist()))
+        q = QuboMatrix(n, (rng.normal(size=n) / 3.0).tolist(), upper, 0.1)
+        bits = rng.integers(0, 2, (k, n))
+        for model, states in [(q, bits)] + [(qubo_to_ising(q, c), 2 * bits - 1) for c in IsingConvention]:
+            assert batch_energy(model, states).tobytes() == self.row_at_a_time(model, states).tobytes()
+
     def test_rejects_bad_shape_and_values(self):
         m = qubo_to_ising(TWO_VAR)
         with pytest.raises(DimensionError):
@@ -732,6 +756,42 @@ class TestBuilderCoalescing:
         assert q.upper == {key: v for key, v in upper.items() if v != 0.0}
         assert cancelled not in q.upper
         assert q.diag == tuple(diag)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("repeated", [True, False], ids=["repeated", "disjoint"])
+    def test_shuffled_batches_sum_bit_for_bit_in_insertion_order(self, seed, repeated):
+        # fractional values in shuffled batches, both orientations: repeated
+        # keys within and across batches, some cancelling to zero at the end,
+        # must add up in insertion order, as a dict does, to the last bit;
+        # disjoint batches take the path without repeats
+        rng = np.random.default_rng(seed)
+        n = 60
+        builder, upper = QuboBuilder(n), {}
+        rows, cols = np.triu_indices(n, 1)
+        pairs = rng.permutation(rows.size)
+        for batch in range(3):
+            if repeated:
+                i = rng.integers(0, n, 4000)
+                j = (i + rng.integers(1, n, i.size)) % n
+            else:
+                take = pairs[batch::3]
+                flip = rng.random(take.size) < 0.5
+                i, j = np.where(flip, cols[take], rows[take]), np.where(flip, rows[take], cols[take])
+            v = rng.normal(size=i.size) / 3.0
+            builder.add_pairs(i, j, v)
+            for a, b, x in zip(i.tolist(), j.tolist(), v.tolist()):
+                key = (min(a, b), max(a, b))
+                upper[key] = upper[key] + x if key in upper else x
+        if repeated:
+            cancel = list(upper)[:10]
+            for a, b in cancel:
+                builder.add_pair(b, a, -upper[(a, b)])
+                upper[(a, b)] = 0.0
+        q = builder.build()
+        expected = {key: v for key, v in sorted(upper.items()) if v != 0.0}
+        assert len(expected) < len(upper) if repeated else len(upper) == rows.size  # cancelled, or each pair once
+        assert list(zip(q.rows.tolist(), q.cols.tolist())) == list(expected)
+        assert [v.hex() for v in q.vals.tolist()] == [v.hex() for v in expected.values()]
 
 
 class TestBuilderContract:

@@ -439,6 +439,20 @@ def coupling_dtype(model):
     return solver._dense_fields(solver._as_positive_ising(model))[1].dtype
 
 
+def pooled_spins(pool, n):
+    """A pool's (spins, energy) entries in pool order, the spins as a tuple of
+    ints, read from either key form: one byte per spin, where the spins are
+    1 - 2 * key (``_anneal_pool``), or the spins' float64 bytes
+    (``reference_anneal_pool``). Comparing pools through it compares the
+    states, energies and order that the keys stand for."""
+    def spins(key):
+        if len(key) == n:
+            return tuple((1 - 2 * np.frombuffer(key, np.uint8).astype(np.int64)).tolist())
+        return tuple(np.frombuffer(key).astype(np.int64).tolist())
+
+    return [(spins(key), e) for key, e in pool.items()]
+
+
 def reference_fields(h, jmat):
     """``h`` and J in float64, as ``reference_anneal_pool`` takes them: an
     int8 ``jmat`` holds 4J."""
@@ -471,8 +485,9 @@ class TestAnnealStateDtype:
 
         def run(anneal):
             def spy(h, jmat, *args):
-                runs.append((jmat.dtype, list(anneal(h, jmat, *args).items())))
-                return dict(runs[-1][1])
+                runs.append((jmat.dtype, pooled_spins(anneal(h, jmat, *args), h.size)))
+                # the solver reads one-byte keys, whichever pool it is handed
+                return {(np.array(spins) < 0).astype(np.uint8).tobytes(): e for spins, e in runs[-1][1]}
             monkeypatch.setattr(solver, "_anneal_pool", spy)
             return solve(q, config)
 
@@ -524,7 +539,7 @@ class TestAnnealStateDtype:
         pool = solver._anneal_pool(h, jmat, config, t0, t1)
         expected = reference_anneal_pool(*reference_fields(h, jmat), config, t0, t1)
         assert jmat.dtype == (np.int8 if quantized else np.float64)
-        assert list(pool.items()) == list(expected.items())
+        assert pooled_spins(pool, n) == pooled_spins(expected, n)
 
     def test_draw_buffer_is_bounded(self):
         # 2,000 sweeps of 8 x 100 uniforms would be 12.8 MB drawn at once;
@@ -666,9 +681,72 @@ class TestSweepStream:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solver, "_sweeps", fake_sweeps)
             pool = solver._anneal_pool(np.zeros(n, dtype), np.zeros((n, n), dtype), config, 1.0, 0.1)
-        pooled = sorted((e, tuple(np.frombuffer(key))) for key, e in pool.items())
+        pooled = sorted((e, spins) for spins, e in pooled_spins(pool, n))
         offered = sorted({(energy[i], tuple(states[i])) for picks in stream for i in picks})
         assert pooled[:top_k] == offered[:top_k]
+
+    @staticmethod
+    def float64_keyed_pool(stream, config):
+        """``_anneal_pool``'s bookkeeping with the spins' float64 bytes as keys,
+        as it was before the keys took one byte per spin."""
+        pool: dict[bytes, float] = {}
+        pool_cap = max(32, 4 * config.top_k)
+        for spins, energies in stream:
+            if len(pool) >= pool_cap and energies.min() >= max(pool.values()):
+                continue
+            for r, e in enumerate(energies.tolist()):
+                if len(pool) >= pool_cap and e >= max(pool.values()):
+                    continue
+                key = spins[r].astype(np.float64).tobytes()
+                if e < pool.get(key, np.inf):
+                    pool[key] = e
+                    if len(pool) > pool_cap:
+                        pool = {k: v for v, k in sorted(zip(pool.values(), pool))[: pool_cap // 2]}
+        return pool
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 10),
+        st.sampled_from([np.float32, np.float64]),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_one_byte_keys_evict_as_float64_keys(self, restarts, top_k, dtype, levels, data):
+        # 64 states over 1-3 energies: evictions cut through runs of equal
+        # energies, where the keys alone decide which states stay
+        n = 6
+        states = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        energy = np.array(data.draw(st.lists(st.integers(0, levels - 1), min_size=2**n, max_size=2**n)), float)
+        sweep = st.lists(st.integers(0, 2**n - 1), min_size=restarts, max_size=restarts)
+        stream = [
+            (states[picks].astype(dtype), energy[picks]) for picks in data.draw(st.lists(sweep, min_size=1, max_size=30))
+        ]
+        config = SolverConfig(sweeps=len(stream), restarts=restarts, top_k=top_k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_sweeps", lambda *args: iter(stream))
+            pool = solver._anneal_pool(np.zeros(n, dtype), np.zeros((n, n), dtype), config, 1.0, 0.1)
+        assert all(len(key) == n for key in pool)
+        assert pooled_spins(pool, n) == pooled_spins(self.float64_keyed_pool(stream, config), n)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_byte_keys_cut_through_equal_energies(self, dtype):
+        # 32 states of energy 0 fill the pool; a 33rd of energy -1 overfills
+        # it, and the cut to 16 keeps it and 15 of the 32, chosen by key
+        # alone: +1 before -1 at the first spin that differs
+        n = 6
+        states = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+        picks = np.random.default_rng(0).permutation(2**n)[:33]
+        stream = [(states[picks].astype(dtype), np.array([0.0] * 32 + [-1.0]))]
+        config = SolverConfig(sweeps=1, restarts=33, top_k=1)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_sweeps", lambda *args: iter(stream))
+            pool = solver._anneal_pool(np.zeros(n, dtype), np.zeros((n, n), dtype), config, 1.0, 0.1)
+        pooled = pooled_spins(pool, n)
+        assert pooled == pooled_spins(self.float64_keyed_pool(stream, config), n)
+        zero_energy = sorted(map(tuple, states[picks[:32]].astype(int).tolist()), reverse=True)
+        assert [spins for spins, _ in pooled] == [tuple(states[picks[32]].astype(int).tolist()), *zero_energy[:15]]
+        assert [e for _, e in pooled] == [-1.0] + [0.0] * 15
 
     def test_kernel_yields_exact_states_whatever_top_k(self):
         work = solver._as_positive_ising(quantize_int8(random_model(np.random.default_rng(9), 40)).to_matrix())
@@ -750,7 +828,7 @@ class TestExactRegimeRanking:
         work = solver._as_positive_ising(model)
         h, jmat = solver._dense_fields(work)
         pool = solver._anneal_pool(h, jmat, config, *solver._resolve_temps(config, work))
-        vecs = list(dict.fromkeys(tuple(np.frombuffer(key).astype(int).tolist()) for key in pool))
+        vecs = [spins for spins, _ in pooled_spins(pool, work.n)]
         ranked = sorted(zip(batch_energy(work, vecs).tolist(), vecs))
         return tuple((vec, e) for e, vec in ranked[: config.top_k]), h.dtype, ranked
 
