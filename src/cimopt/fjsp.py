@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain, compress
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,8 +141,7 @@ class FjspWeights:
         return self
 
 
-@dataclass(frozen=True)
-class TimedVariable:
+class TimedVariable(NamedTuple):
     """One surviving binary variable: operation (job, op) starts on machine at start."""
 
     job: int
@@ -155,23 +154,27 @@ class TimedVariable:
 class VariableIndex:
     """Dense indexing of the variables that survive pruning. ``raw_count``
     and each entry's job, op, machine and start are ints, never bools, and
-    no entry appears twice."""
+    no entry appears twice; the fields, held as a read-only int64 table of
+    one row per entry, must fit in 64 bits."""
 
     entries: tuple[TimedVariable, ...]
     raw_count: int
 
     def __post_init__(self):
         require_type([self.raw_count], (int,), "raw_count")
-        require_type((v for e in self.entries for v in (e.job, e.op, e.machine, e.start)), (int,), "index entry fields")
+        fields = require_type(chain.from_iterable(self.entries), (int,), "index entry fields")
+        try:
+            table = np.array(fields, np.int64).reshape(len(self.entries), 4)
+        except OverflowError:
+            bad = next(v for v in fields if not -(2**63) <= v < 2**63)
+            raise ValueError(f"index entry fields must be 64-bit integers, got {bad}") from None
+        table.flags.writeable = False
+        object.__setattr__(self, "_table", table)
         position = {entry: k for k, entry in enumerate(self.entries)}
         if len(position) != len(self.entries):  # a repeated entry kept only its last position
             repeated = next(entry for k, entry in enumerate(self.entries) if position[entry] != k)
             raise ValueError(f"index repeats entry {repeated}")
         object.__setattr__(self, "_position", position)
-        groups: dict[tuple[int, int], list[int]] = {}
-        for k, entry in enumerate(self.entries):
-            groups.setdefault((entry.job, entry.op), []).append(k)
-        object.__setattr__(self, "_groups", {key: tuple(v) for key, v in groups.items()})
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -183,7 +186,8 @@ class VariableIndex:
         return self._position.get(entry)
 
     def group(self, job: int, op: int) -> tuple[int, ...]:
-        return self._groups.get((job, op), ())
+        """The positions of operation (job, op)'s entries in entry order; () when it has none."""
+        return tuple(np.flatnonzero((self._table[:, :2] == (job, op)).all(axis=1)).tolist())
 
 
 def min_predecessor_time(inst: FjspInstance, job: int, op: int) -> int:
@@ -199,6 +203,13 @@ def max_start_time(inst: FjspInstance, job: int, op: int) -> int:
     return inst.t_max - tail
 
 
+def _operation_windows(inst: FjspInstance) -> tuple[list[tuple[int, int, Operation, int, int]], int]:
+    """Each operation's (job, op, operation, earliest start, latest end), in
+    order, and the raw variable count: each eligible machine at each start in [0, t_max]."""
+    ops = [(j, h, op, min_predecessor_time(inst, j, h), max_start_time(inst, j, h)) for j, h, op in inst.iter_operations()]
+    return ops, sum(len(op.eligible()) for _, _, op, _, _ in ops) * (inst.t_max + 1)
+
+
 def prune_variables(inst: FjspInstance) -> VariableIndex:
     """Keep (machine, start, operation) triples with a feasible window.
 
@@ -207,55 +218,47 @@ def prune_variables(inst: FjspInstance) -> VariableIndex:
     start time of the operation. Raises InfeasibleHorizonError naming the
     first operation whose window is empty.
     """
+    ops, raw = _operation_windows(inst)
     entries: list[TimedVariable] = []
-    raw = 0
-    for j, h, op in inst.iter_operations():
-        raw += len(op.eligible()) * (inst.t_max + 1)
-        earliest = min_predecessor_time(inst, j, h)
-        latest = max_start_time(inst, j, h)
-        kept_for_op = 0
-        for i in op.eligible():
-            p = op.times[i]
-            for t in range(earliest, latest - p + 1):
-                entries.append(TimedVariable(j, h, i, t))
-                kept_for_op += 1
-        if kept_for_op == 0:
+    for j, h, op, earliest, latest in ops:
+        kept = [TimedVariable(j, h, i, t) for i in op.eligible() for t in range(earliest, latest - op.times[i] + 1)]
+        if not kept:
             raise InfeasibleHorizonError(
                 f"infeasible horizon: operation ({j}, {h}) has no feasible start window "
                 f"within t_max={inst.t_max}",
                 job=j,
                 op=h,
             )
+        entries += kept
     return VariableIndex(tuple(entries), raw)
 
 
 def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, ...]:
     """Reject an index that prune_variables could not have built for inst;
     return each entry's job, operation (numbered over all jobs' operations
-    in order), machine, start and end time."""
-    ops = list(inst.iter_operations())
-    raw = sum(len(op.eligible()) for _, _, op in ops) * (inst.t_max + 1)
+    in order), machine, start time, end time and earliest start, and
+    whether its operation is its job's last."""
+    ops, raw = _operation_windows(inst)
     if index.raw_count != raw:
         raise DimensionError(
             f"index was built for a different instance (raw count {index.raw_count} != {raw})"
         )
     first_op = np.cumsum([0] + [len(job.operations) for job in inst.jobs])
-    times = np.array([[p or 0 for p in op.times] for _, _, op in ops])  # 0 marks an ineligible machine
-    earliest = np.array([min_predecessor_time(inst, j, h) for j, h, _ in ops])
-    latest = np.array([max_start_time(inst, j, h) for j, h, _ in ops])
-    job, op, machine, start = np.array(
-        [(e.job, e.op, e.machine, e.start) for e in index.entries], dtype=np.int64
-    ).reshape(-1, 4).T
+    times = np.array([[p or 0 for p in op.times] for _, _, op, _, _ in ops])  # 0 marks an ineligible machine
+    job, op, machine, start = index._table.T
     # clipped lookups; an out-of-range job or machine, negative ones too, differs from its clip
     jc = np.clip(job, 0, len(inst.jobs) - 1)
-    exists = (job == jc) & (op >= 0) & (op < np.diff(first_op)[jc])
+    op_count = np.diff(first_op)[jc]
+    exists = (job == jc) & (op >= 0) & (op < op_count)
     op_id = np.where(exists, first_op[jc] + op, 0)
+    earliest = np.array([e for *_, e, _ in ops])[op_id]
+    latest = np.array([l for *_, l in ops])[op_id]
     mc = np.clip(machine, 0, inst.machines - 1)
     p = np.where(exists & (machine == mc), times[op_id, mc], 0)
-    ok = (p > 0) & (start >= earliest[op_id]) & (start + p <= latest[op_id])
+    ok = (p > 0) & (start >= earliest) & (start + p <= latest)
     missing = np.flatnonzero(np.bincount(op_id[exists], minlength=len(ops)) == 0)
     if missing.size:
-        j, h, _ = ops[missing[0]]
+        j, h, *_ = ops[missing[0]]
         raise DimensionError(f"index has no variables for operation ({j}, {h})")
     bad = np.flatnonzero(~ok)
     if bad.size:
@@ -266,7 +269,7 @@ def _check_index(inst: FjspInstance, index: VariableIndex) -> tuple[np.ndarray, 
         if not p[k]:
             raise DimensionError(f"index entry {entry} uses an ineligible machine")
         raise DimensionError(f"index entry {entry} lies outside its pruning window")
-    return job, op_id, machine, start, start + p
+    return job, op_id, machine, start, start + p, earliest, op == op_count - 1
 
 
 def _window_pairs(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -336,7 +339,7 @@ def build_qubo(
     """
     if h3_mode not in ("strict", "paper-literal"):
         raise ValueError(f"unknown h3_mode {h3_mode!r}")
-    job_of, op_of, machine_of, start, end = _check_index(inst, index)
+    job_of, op_of, machine_of, start, end, earliest, final = _check_index(inst, index)
     n = len(index)
     builder = QuboBuilder(n)
 
@@ -355,13 +358,11 @@ def build_qubo(
     # of (operation, start), each variable's successors that start before its
     # end form one window of the next operation, if that is of the same job.
     if weights.beta > 0:
-        final = np.zeros(inst.total_operations(), bool)  # each job's last operation
-        final[np.cumsum([len(job.operations) for job in inst.jobs]) - 1] = True
         span = int(end.max()) + 1
         order = np.argsort(op_of * span + start, kind="stable")
         key, nxt = op_of[order] * span + start[order], (op_of[order] + 1) * span
         lo = np.searchsorted(key, nxt)
-        a, b = _window_pairs(lo, np.where(final[op_of[order]], lo, np.searchsorted(key, nxt + end[order])))
+        a, b = _window_pairs(lo, np.where(final[order], lo, np.searchsorted(key, nxt + end[order])))
         builder.add_pairs(order[a], order[b], weights.beta)
 
     # H3: cross-job temporal conflicts on a shared machine, paired only
@@ -376,11 +377,9 @@ def build_qubo(
     # possible predecessor time so the minimum contribution stays small; a
     # term past float range is refused by build() as not finite
     if weights.delta > 0:
-        for j, job in enumerate(inst.jobs):
-            last = len(job.operations) - 1
-            group = np.array(index.group(j, last))
-            with np.errstate(over="ignore"):
-                builder.add_diag(group, weights.delta * (end[group] - min_predecessor_time(inst, j, last)))
+        last = np.flatnonzero(final)
+        with np.errstate(over="ignore"):
+            builder.add_diag(last, weights.delta * (end[last] - earliest[last]))
 
     return builder.build()
 

@@ -91,6 +91,20 @@ class TestPruning:
         with pytest.raises(KeyError):
             table1_index.position(absent)
 
+    def test_timed_variable_behaviour(self, table1_index):
+        # the repr is part of the "index entry ... does not exist" messages
+        v = TimedVariable(0, 3, 0, 6)
+        assert repr(v) == "TimedVariable(job=0, op=3, machine=0, start=6)"
+        assert (v.job, v.op, v.machine, v.start) == (0, 3, 0, 6)
+        assert TimedVariable(1, 2, 3, 4).machine == 3
+        assert v == TimedVariable(0, 3, 0, 6) and hash(v) == hash(TimedVariable(0, 3, 0, 6))
+        assert v != TimedVariable(0, 3, 6, 0)
+        first = table1_index.entries[0]
+        assert TimedVariable(first.job, first.op, first.machine, first.start) == first
+        assert len(set(table1_index.entries)) == len(table1_index)
+        with pytest.raises(AttributeError):
+            v.start = 7
+
     def test_single_variable_instance(self):
         inst = FjspInstance.build(1, 2, [[[2]]])
         index = prune_variables(inst)
@@ -318,6 +332,8 @@ class TestBuildQubo:
             ((TimedVariable(0, 0, True, 2),), 513, "index entry fields must be int, got True"),
             ((TimedVariable(0.0, 0, 0, 2),), 513, "index entry fields must be int, got 0.0"),
             ((), 513.0, "raw_count must be int, got 513.0"),
+            # the int64 table of build_qubo's index check raised OverflowError
+            ((TimedVariable(0, 0, 0, 2**63),), 513, "index entry fields must be 64-bit integers, got 9223372036854775808"),
         ],
     )
     def test_index_fields_must_be_ints(self, table1_index, extra, raw_count, message):
@@ -385,6 +401,20 @@ class TestWindowedH3:
         index = prune_variables(inst)
         entries = [index.entries[k] for k in np.random.default_rng(3).permutation(len(index))]
         self.assert_matches_reference(inst, VariableIndex(tuple(entries), index.raw_count))
+
+    def test_group_of_shuffled_index(self):
+        inst = random_fjsp_instance(np.random.default_rng(2), 4, 3, slack=4)
+        index = prune_variables(inst)
+        entries = [index.entries[k] for k in np.random.default_rng(3).permutation(len(index))]
+        shuffled = VariableIndex(tuple(entries), index.raw_count)
+        for j, h, _ in inst.iter_operations():
+            group = shuffled.group(j, h)
+            assert group == tuple(k for k, e in enumerate(entries) if (e.job, e.op) == (j, h))
+            assert all(type(k) is int for k in group)
+            assert group != tuple(range(group[0], group[0] + len(group)))  # not contiguous
+        assert shuffled.group(0, len(inst.jobs[0].operations)) == ()
+        assert shuffled.group(len(inst.jobs), 0) == ()
+        assert shuffled.group(-1, 0) == ()
 
 
 class TestDecode:
